@@ -11,13 +11,16 @@
 pub mod checkpoint;
 pub mod executor;
 pub mod experiments;
+pub mod mode;
 pub mod optimize;
 pub mod serve;
 pub mod suite;
 pub mod telemetry;
 
+use vp_asm::Program;
 use vp_core::{track::TrackerConfig, InstructionProfiler};
-use vp_instrument::{Instrumenter, Selection};
+use vp_instrument::{Analysis, InstrumentedRun, Instrumenter, Selection};
+use vp_sim::{InstrEvent, Machine, MachineConfig, SimError};
 use vp_workloads::{DataSet, Workload};
 
 pub use checkpoint::{Checkpoint, ResumeSummary};
@@ -26,8 +29,9 @@ pub use executor::{
     WorkerSpec,
 };
 pub use experiments::ExpReport;
+pub use mode::ModeProfiler;
 pub use optimize::{optimize_from_outcome, OptimizeConfig, OptimizeReport, WorkloadOptimize};
-pub use serve::{ServeConfig, ServeReport, SessionMode, SessionSummary};
+pub use serve::{ServeConfig, ServeReport, SessionSummary};
 pub use suite::{
     ProfileMode, RetryPolicy, SuiteOutcome, SuiteProfile, SuiteRunner, WorkloadFailure,
     WorkloadProfile,
@@ -73,6 +77,27 @@ pub fn all_instr_profile(workload: &Workload, ds: DataSet) -> InstructionProfile
     profile_instructions(workload, ds, Selection::RegisterDefining, TrackerConfig::with_full())
 }
 
+/// Runs `program` under `instrumenter` and collects the `(pc, value)`
+/// stream of the instructions it selects, in execution order.
+pub fn record_stream(
+    instrumenter: &Instrumenter,
+    program: &Program,
+    config: MachineConfig,
+    budget: u64,
+) -> Result<(Vec<(u32, u64)>, InstrumentedRun), SimError> {
+    struct Collector(Vec<(u32, u64)>);
+    impl Analysis for Collector {
+        fn after_instr(&mut self, _m: &Machine, ev: &InstrEvent) {
+            if let Some((_, v)) = ev.dest {
+                self.0.push((ev.index, v));
+            }
+        }
+    }
+    let mut collector = Collector(Vec::new());
+    let run = instrumenter.run(program, config, budget, &mut collector)?;
+    Ok((collector.0, run))
+}
+
 /// Collects the `(pc, value)` stream of selected instructions for one
 /// workload run (used by the predictor and TNV-policy experiments).
 ///
@@ -80,20 +105,10 @@ pub fn all_instr_profile(workload: &Workload, ds: DataSet) -> InstructionProfile
 ///
 /// Panics if the workload run faults.
 pub fn value_stream(workload: &Workload, ds: DataSet, selection: Selection) -> Vec<(u32, u64)> {
-    struct Collector(Vec<(u32, u64)>);
-    impl vp_instrument::Analysis for Collector {
-        fn after_instr(&mut self, _m: &vp_sim::Machine, ev: &vp_sim::InstrEvent) {
-            if let Some((_, v)) = ev.dest {
-                self.0.push((ev.index, v));
-            }
-        }
-    }
-    let mut collector = Collector(Vec::new());
-    Instrumenter::new()
-        .select(selection)
-        .run(workload.program(), workload.machine_config(ds), BUDGET, &mut collector)
-        .unwrap_or_else(|e| panic!("{} [{}]: {e}", workload.name(), ds.name()));
-    collector.0
+    let instrumenter = Instrumenter::new().select(selection);
+    record_stream(&instrumenter, workload.program(), workload.machine_config(ds), BUDGET)
+        .unwrap_or_else(|e| panic!("{} [{}]: {e}", workload.name(), ds.name()))
+        .0
 }
 
 #[cfg(test)]

@@ -44,10 +44,7 @@ use std::time::{Duration, Instant};
 use vp_core::fault::{
     FaultAction, FaultPlan, SERVE_ACCEPT_POINT, SESSION_CHECKPOINT_POINT, SESSION_FRAME_POINT,
 };
-use vp_core::{
-    durable, AdaptiveProfiler, ConvergentConfig, ConvergentProfiler, EntityMetrics,
-    InstructionProfiler, MemBudget, PhaseBudget, StreamProfiler, TrackerConfig,
-};
+use vp_core::{durable, MemBudget, StreamProfiler};
 use vp_instrument::frame::{self, FrameError, FrameReader};
 use vp_instrument::net::{
     self, classify_chunk, ChunkDisposition, MsgError, NetListener, SessionMsg,
@@ -55,16 +52,7 @@ use vp_instrument::net::{
 use vp_instrument::{cancel, trace_codec};
 use vp_obs::{CounterId, Counts, Json};
 
-/// Which profiler each session runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SessionMode {
-    /// Full-fidelity tracking (the `vprof replay` default).
-    Full,
-    /// Convergence-gated tracking with reweighted metrics.
-    Convergent,
-    /// Phase-aware adaptive profiling under the given budget.
-    Adaptive(PhaseBudget),
-}
+use crate::mode::{ModeProfiler, ProfileMode};
 
 /// Daemon configuration. `new` fills the defaults the CLI documents.
 #[derive(Debug, Clone)]
@@ -90,7 +78,9 @@ pub struct ServeConfig {
     pub deadline: Option<Duration>,
     /// Global memory budget, split evenly across `max_sessions`.
     pub mem_budget: Option<MemBudget>,
-    pub mode: SessionMode,
+    /// Which profiler each session runs, paired with the mode's
+    /// [`default_tracker`](ProfileMode::default_tracker).
+    pub mode: ProfileMode,
     /// Recover sessions from existing chunk logs instead of truncating
     /// them.
     pub resume: bool,
@@ -111,7 +101,7 @@ impl ServeConfig {
             idle: None,
             deadline: None,
             mem_budget: None,
-            mode: SessionMode::Full,
+            mode: ProfileMode::Full,
             resume: false,
             telemetry: None,
         }
@@ -277,7 +267,7 @@ impl Daemon {
 struct Session {
     tenant: String,
     workload: String,
-    profiler: SessionProfiler,
+    profiler: ModeProfiler,
     log: BufWriter<std::fs::File>,
     meta_path: PathBuf,
     /// Chunks appended to the log (possibly still buffered).
@@ -286,45 +276,6 @@ struct Session {
     acked: u64,
     /// Trace events observed, resumed chunks included.
     events: u64,
-}
-
-enum SessionProfiler {
-    Full(Box<InstructionProfiler>),
-    Convergent(Box<ConvergentProfiler>),
-    Adaptive(Box<AdaptiveProfiler>),
-}
-
-impl SessionProfiler {
-    fn new(mode: SessionMode, budget: Option<MemBudget>) -> SessionProfiler {
-        match mode {
-            SessionMode::Full => SessionProfiler::Full(Box::new(match budget {
-                Some(b) => InstructionProfiler::with_budget(TrackerConfig::with_full(), b),
-                None => InstructionProfiler::new(TrackerConfig::with_full()),
-            })),
-            SessionMode::Convergent => SessionProfiler::Convergent(Box::new(
-                ConvergentProfiler::new(TrackerConfig::default(), ConvergentConfig::default()),
-            )),
-            SessionMode::Adaptive(pb) => SessionProfiler::Adaptive(Box::new(
-                AdaptiveProfiler::new(TrackerConfig::default(), ConvergentConfig::default(), pb),
-            )),
-        }
-    }
-
-    fn observe_batch(&mut self, events: &[(u32, u64)]) {
-        match self {
-            SessionProfiler::Full(p) => p.observe_batch(events),
-            SessionProfiler::Convergent(p) => StreamProfiler::observe_batch(&mut **p, events),
-            SessionProfiler::Adaptive(p) => StreamProfiler::observe_batch(&mut **p, events),
-        }
-    }
-
-    fn metrics(&self) -> Vec<EntityMetrics> {
-        match self {
-            SessionProfiler::Full(p) => p.metrics(),
-            SessionProfiler::Convergent(p) => p.metrics(),
-            SessionProfiler::Adaptive(p) => p.metrics(),
-        }
-    }
 }
 
 /// Why a session stopped, before it is turned into frames + records.
@@ -353,7 +304,7 @@ impl Session {
         let (log_path, meta_path) = session_paths(cfg, tenant, workload);
         std::fs::create_dir_all(log_path.parent().unwrap())?;
         let budget = cfg.mem_budget.map(|b| b.split(cfg.max_sessions));
-        let mut profiler = SessionProfiler::new(cfg.mode, budget);
+        let mut profiler = cfg.mode.profiler(cfg.mode.default_tracker(), budget);
         let mut logged = 0u64;
         let mut events = 0u64;
         if !cfg.resume {
@@ -457,7 +408,9 @@ impl Session {
             ("events", Json::U64(self.events)),
         ])
         .render();
-        durable::append_jsonl_with(plan, &self.meta_path, &line)?;
+        // The trailing newline completes the record: the durable append
+        // treats anything after the last newline as a torn tail.
+        durable::append_jsonl_with(plan, &self.meta_path, &format!("{line}\n"))?;
         self.acked = self.logged;
         Ok(())
     }
@@ -872,6 +825,7 @@ fn handle_stream(daemon: &Daemon, stream: UnixStream, idle: Option<Duration>) {
 mod tests {
     use super::*;
     use std::path::Path;
+    use vp_core::{InstructionProfiler, TrackerConfig};
     use vp_instrument::TraceEncoder;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -991,6 +945,29 @@ mod tests {
             .collect();
         assert_eq!(acks, vec![8, 16, 24]);
         assert!(matches!(replies.last(), Some(SessionMsg::EndOk { acked: 25, .. })));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_meta_file_keeps_every_record() {
+        let dir = tmp_dir("meta");
+        let daemon = test_daemon(&dir, FaultPlan::empty());
+        let mut msgs = vec![hello("acme", "li")];
+        msgs.extend(chunk_msgs(&sample_events(100), 4)); // 25 chunks
+        msgs.push(SessionMsg::End);
+        converse(&daemon, &msgs);
+        // Checkpoints at 8, 16 and 24 chunks, then one on END: four
+        // well-formed JSONL records, none truncated by the next append.
+        let (_, meta) = session_paths(&daemon.cfg, "acme", "li");
+        let text = std::fs::read_to_string(&meta).unwrap();
+        assert!(text.ends_with('\n'), "{text:?}");
+        let records = vp_obs::telemetry::parse_jsonl(&text).unwrap();
+        let acked: Vec<u64> =
+            records.iter().map(|r| r.get("acked").and_then(Json::as_u64).unwrap()).collect();
+        assert_eq!(acked, vec![8, 16, 24, 25]);
+        for r in &records {
+            assert_eq!(r.get("kind").and_then(Json::as_str), Some("session-checkpoint"));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

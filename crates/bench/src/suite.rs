@@ -12,45 +12,23 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vp_core::{
-    aggregate, merge_entity_metrics, profile_sharded, render_metric_table, report::row,
-    track::TrackerConfig, AdaptiveProfiler, Aggregate, ConvergentConfig, ConvergentProfiler,
-    EntityMetrics, FaultPlan, GovernorStats, InstructionProfiler, MemBudget, PhaseBudget,
-    PhaseStats, ReportRow, SampleStrategy, SampledProfiler,
+    aggregate, merge_entity_metrics, render_metric_table, report::row, track::TrackerConfig,
+    Aggregate, EntityMetrics, FaultPlan, GovernorStats, MemBudget, PhaseStats, ReportRow,
 };
 use vp_instrument::{
-    parallel_map_observed, trace_codec, try_parallel_map_deadline, Analysis, FailureKind,
-    InstrumentedRun, Instrumenter, Selection,
+    parallel_map_observed, trace_codec, try_parallel_map_deadline, FailureKind, InstrumentedRun,
+    Instrumenter, Selection,
 };
 use vp_obs::recorder::Stopwatch;
 use vp_obs::{CounterId, Counts, HistId, NullRecorder, Recorder};
-use vp_sim::{InstrEvent, Machine};
+use vp_sim::Machine;
 use vp_workloads::{suite, DataSet, Workload};
 
 use crate::checkpoint::Checkpoint;
 use crate::executor::{self, ProcessPool, WorkerExecutor, WorkerExit, WorkerFailure, WorkerSpec};
+use crate::mode::ModeProfiler;
+pub use crate::mode::ProfileMode;
 use crate::BUDGET;
-
-/// What one workload's profiling pass returns: metrics, profiled
-/// fraction, the instrumented run, and the optional governor / phase
-/// counters (each present only in the mode that produces them).
-type SingleRun =
-    (Vec<EntityMetrics>, f64, InstrumentedRun, Option<GovernorStats>, Option<PhaseStats>);
-
-/// Which profiler the runner attaches to each workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ProfileMode {
-    /// Full profiling: every selected execution observed
-    /// ([`InstructionProfiler`]).
-    Full,
-    /// The paper's convergent profiler (bursts with adaptive back-off).
-    Convergent(ConvergentConfig),
-    /// The convergent profiler with phase detection armed: converged
-    /// instructions re-arm when their value distribution shifts, under
-    /// the bounded [`PhaseBudget`] ([`AdaptiveProfiler`]).
-    Adaptive(ConvergentConfig, PhaseBudget),
-    /// The CPI-style sampling baseline.
-    Sampled(SampleStrategy),
-}
 
 /// One workload's profiling result.
 #[derive(Debug, Clone)]
@@ -489,26 +467,15 @@ impl SuiteRunner {
 
     /// [`try_run`](SuiteRunner::try_run) over an explicit workload list.
     pub fn try_run_workloads(&self, workloads: &[Workload], ds: DataSet) -> SuiteOutcome {
-        let checkpoint = self.checkpoint.as_deref();
         let run_one = |w: &Workload| -> WorkloadProfile {
-            if let Some(restored) = checkpoint.and_then(|c| c.restored(w.name())) {
-                // Flush the restored run's deterministic events exactly as
-                // profile_one would have, so resumed telemetry totals match
-                // an uninterrupted run's.
-                if self.recorder.enabled() {
-                    self.recorder.add_counts(&restored.events);
-                    self.recorder.observe(HistId::WorkloadWallNs, restored.wall_ns);
-                }
+            if let Some(restored) = self.restored(w) {
                 return restored;
             }
             if let Err(e) = self.faults.fire(&format!("workload/{}", w.name())) {
                 panic!("{e}");
             }
             let profile = self.profile_one(w, ds);
-            if let Some(c) = checkpoint {
-                c.record(&self.faults, &profile)
-                    .unwrap_or_else(|e| panic!("checkpoint {}: {e}", c.path().display()));
-            }
+            self.persist(&profile);
             profile
         };
         let outcome = self.run_rounds(workloads, |subset| {
@@ -546,24 +513,13 @@ impl SuiteRunner {
         workloads: &[Workload],
         exec: &dyn WorkerExecutor,
     ) -> SuiteOutcome {
-        let checkpoint = self.checkpoint.as_deref();
         let item_fn = |w: &Workload| -> Result<WorkloadProfile, WorkerFailure> {
-            if let Some(restored) = checkpoint.and_then(|c| c.restored(w.name())) {
-                if self.recorder.enabled() {
-                    self.recorder.add_counts(&restored.events);
-                    self.recorder.observe(HistId::WorkloadWallNs, restored.wall_ns);
-                }
+            if let Some(restored) = self.restored(w) {
                 return Ok(restored);
             }
             let profile = exec.run(w.name())?;
-            if let Some(c) = checkpoint {
-                c.record(&self.faults, &profile)
-                    .unwrap_or_else(|e| panic!("checkpoint {}: {e}", c.path().display()));
-            }
-            if self.recorder.enabled() {
-                self.recorder.add_counts(&profile.events);
-                self.recorder.observe(HistId::WorkloadWallNs, profile.wall_ns);
-            }
+            self.persist(&profile);
+            self.flush(&profile);
             Ok(profile)
         };
         let mut outcome = self.run_rounds(workloads, |subset| {
@@ -666,59 +622,33 @@ impl SuiteRunner {
         }
     }
 
-    fn flush_faults(&self, faults: &Counts) {
-        if self.recorder.enabled() && faults.total() > 0 {
-            self.recorder.add_counts(faults);
+    // A workload the checkpoint already holds, flushed like a fresh one
+    // so resumed telemetry matches an uninterrupted run's.
+    fn restored(&self, w: &Workload) -> Option<WorkloadProfile> {
+        let restored = self.checkpoint.as_ref()?.restored(w.name())?;
+        self.flush(&restored);
+        Some(restored)
+    }
+
+    // Durably appends a finished workload to the checkpoint, if any.
+    fn persist(&self, profile: &WorkloadProfile) {
+        if let Some(c) = &self.checkpoint {
+            c.record(&self.faults, profile)
+                .unwrap_or_else(|e| panic!("checkpoint {}: {e}", c.path().display()));
         }
     }
 
-    // Runs the workload with the mode's profiler attached live — the
-    // serial reference path.
-    fn profile_one_serial(
-        &self,
-        w: &Workload,
-        ds: DataSet,
-        instrumenter: &Instrumenter,
-        events: &mut Counts,
-    ) -> SingleRun {
-        let fail = |e| panic!("{} [{}]: {e}", w.name(), ds.name());
-        let cfg = w.machine_config(ds);
-        match self.mode {
-            ProfileMode::Full => {
-                let mut p = match self.mem_budget {
-                    Some(budget) => InstructionProfiler::with_budget(self.tracker, budget),
-                    None => InstructionProfiler::new(self.tracker),
-                };
-                let run =
-                    instrumenter.run(w.program(), cfg, self.budget, &mut p).unwrap_or_else(fail);
-                p.tnv_events().add_to(events);
-                let governor = p.governor_stats().copied();
-                (p.metrics(), 1.0, run, governor, None)
-            }
-            ProfileMode::Convergent(config) => {
-                let mut p = ConvergentProfiler::new(self.tracker, config);
-                let run =
-                    instrumenter.run(w.program(), cfg, self.budget, &mut p).unwrap_or_else(fail);
-                p.tnv_events().add_to(events);
-                p.events().add_to(events);
-                (p.metrics(), p.overall_profile_fraction(), run, None, None)
-            }
-            ProfileMode::Adaptive(config, budget) => {
-                let mut p = AdaptiveProfiler::new(self.tracker, config, budget);
-                let run =
-                    instrumenter.run(w.program(), cfg, self.budget, &mut p).unwrap_or_else(fail);
-                p.tnv_events().add_to(events);
-                p.events().add_to(events);
-                (p.metrics(), p.overall_profile_fraction(), run, None, Some(p.phase_stats()))
-            }
-            ProfileMode::Sampled(strategy) => {
-                let mut p = SampledProfiler::new(self.tracker, strategy);
-                let run =
-                    instrumenter.run(w.program(), cfg, self.budget, &mut p).unwrap_or_else(fail);
-                p.tnv_events().add_to(events);
-                p.events().add_to(events);
-                (p.metrics(), p.overall_profile_fraction(), run, None, None)
-            }
+    // Flushes one workload's events and wall time into the recorder.
+    fn flush(&self, profile: &WorkloadProfile) {
+        if self.recorder.enabled() {
+            self.recorder.add_counts(&profile.events);
+            self.recorder.observe(HistId::WorkloadWallNs, profile.wall_ns);
+        }
+    }
+
+    fn flush_faults(&self, faults: &Counts) {
+        if self.recorder.enabled() && faults.total() > 0 {
+            self.recorder.add_counts(faults);
         }
     }
 
@@ -734,24 +664,15 @@ impl SuiteRunner {
         ds: DataSet,
         instrumenter: &Instrumenter,
         events: &mut Counts,
-    ) -> SingleRun {
-        struct Collector(Vec<(u32, u64)>);
-        impl Analysis for Collector {
-            fn after_instr(&mut self, _m: &Machine, event: &InstrEvent) {
-                if let Some((_, value)) = event.dest {
-                    self.0.push((event.index, value));
-                }
-            }
-        }
-        let mut collector = Collector(Vec::new());
-        let run = instrumenter
-            .run(w.program(), w.machine_config(ds), self.budget, &mut collector)
-            .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name(), ds.name()));
+    ) -> (ModeProfiler, InstrumentedRun) {
+        let (stream, run) =
+            crate::record_stream(instrumenter, w.program(), w.machine_config(ds), self.budget)
+                .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name(), ds.name()));
         // Round-trip the recorded stream through the binary trace codec so
         // the bytes the profilers consume went through the same chunked,
         // CRC-checked path as `vprof record` / `vprof replay`.
-        let encoded = trace_codec::encode(&collector.0, trace_codec::DEFAULT_CHUNK_EVENTS);
-        drop(collector);
+        let encoded = trace_codec::encode(&stream, trace_codec::DEFAULT_CHUNK_EVENTS);
+        drop(stream);
         let file = vp_instrument::TraceFile::from_bytes(encoded);
         let mut reader = file
             .reader()
@@ -763,55 +684,8 @@ impl SuiteRunner {
         events.add(CounterId::TraceShards, self.shards as u64);
         events.add(CounterId::TraceEvents, trace.len() as u64);
         events.add(CounterId::TraceChunks, reader.chunks_read() as u64);
-        let tracker = self.tracker;
-        match self.mode {
-            ProfileMode::Full => {
-                // Each shard runs under an even split of the budget, so the
-                // summed shard peaks stay bounded by the whole budget; the
-                // merged profiler's stats are the summed shard stats.
-                let p = match self.mem_budget {
-                    Some(budget) => {
-                        // One profiler exists per *partition* (the stream is
-                        // over-decomposed for work stealing), so split by the
-                        // partition count to keep summed caps within budget.
-                        let split = budget.split(vp_core::partition_count(self.shards));
-                        profile_sharded(&trace, self.shards, move || {
-                            InstructionProfiler::with_budget(tracker, split)
-                        })
-                    }
-                    None => {
-                        profile_sharded(&trace, self.shards, || InstructionProfiler::new(tracker))
-                    }
-                };
-                p.tnv_events().add_to(events);
-                let governor = p.governor_stats().copied();
-                (p.metrics(), 1.0, run, governor, None)
-            }
-            ProfileMode::Convergent(config) => {
-                let p = profile_sharded(&trace, self.shards, || {
-                    ConvergentProfiler::new(tracker, config)
-                });
-                p.tnv_events().add_to(events);
-                p.events().add_to(events);
-                (p.metrics(), p.overall_profile_fraction(), run, None, None)
-            }
-            ProfileMode::Adaptive(config, budget) => {
-                let p = profile_sharded(&trace, self.shards, || {
-                    AdaptiveProfiler::new(tracker, config, budget)
-                });
-                p.tnv_events().add_to(events);
-                p.events().add_to(events);
-                (p.metrics(), p.overall_profile_fraction(), run, None, Some(p.phase_stats()))
-            }
-            ProfileMode::Sampled(strategy) => {
-                let p = profile_sharded(&trace, self.shards, || {
-                    SampledProfiler::new(tracker, strategy)
-                });
-                p.tnv_events().add_to(events);
-                p.events().add_to(events);
-                (p.metrics(), p.overall_profile_fraction(), run, None, None)
-            }
-        }
+        let p = self.mode.profile_sharded(&trace, self.shards, self.tracker, self.mem_budget);
+        (p, run)
     }
 
     fn profile_one(&self, w: &Workload, ds: DataSet) -> WorkloadProfile {
@@ -819,11 +693,21 @@ impl SuiteRunner {
         let cfg = w.machine_config(ds);
         let mut events = Counts::new();
         let clock = Stopwatch::start();
-        let (metrics, profile_fraction, run, governor, phase) = if self.shards > 1 {
+        let (p, run) = if self.shards > 1 {
             self.profile_one_sharded(w, ds, &instrumenter, &mut events)
         } else {
-            self.profile_one_serial(w, ds, &instrumenter, &mut events)
+            // The serial reference path: the mode's profiler attached live.
+            let mut p = self.mode.profiler(self.tracker, self.mem_budget);
+            let run = p
+                .run(&instrumenter, w.program(), cfg.clone(), self.budget)
+                .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name(), ds.name()));
+            (p, run)
         };
+        let metrics = p.metrics();
+        let profile_fraction = p.overall_profile_fraction();
+        let (governor, phase) = (p.governor_stats(), p.phase_stats());
+        events.merge(&p.events());
+        drop(p);
         let wall_ns = clock.elapsed_ns();
         if let Some(gov) = &governor {
             events.add(CounterId::EntitiesDegraded, gov.entities_degraded);
@@ -852,12 +736,7 @@ impl SuiteRunner {
             clock.elapsed_ns()
         });
 
-        if self.recorder.enabled() {
-            self.recorder.add_counts(&events);
-            self.recorder.observe(HistId::WorkloadWallNs, wall_ns);
-        }
-
-        WorkloadProfile {
+        let profile = WorkloadProfile {
             name: w.name(),
             aggregate: aggregate(&metrics),
             metrics,
@@ -868,13 +747,16 @@ impl SuiteRunner {
             baseline_wall_ns,
             governor,
             phase,
-        }
+        };
+        self.flush(&profile);
+        profile
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vp_core::{ConvergentConfig, PhaseBudget, SampleStrategy};
 
     #[test]
     fn serial_profiles_whole_suite() {

@@ -1,9 +1,10 @@
 //! `vprof` subcommand implementations.
 
 use vp_asm::Program;
+use vp_bench::ProfileMode;
 use vp_core::{
-    compare, render_metric_table, report::row, track::TrackerConfig, ConvergentConfig,
-    ConvergentProfiler, InstructionProfiler, MemoryProfiler, ParamProfiler,
+    compare, render_metric_table, report::row, track::TrackerConfig, InstructionProfiler,
+    MemoryProfiler, ParamProfiler,
 };
 use vp_instrument::{Instrumenter, Selection};
 use vp_predict::{
@@ -12,6 +13,8 @@ use vp_predict::{
 };
 use vp_sim::{InputSet, Machine, MachineConfig};
 use vp_workloads::{suite, DataSet, Workload};
+
+use crate::spec::{flag, number, option_value, Command, ProfileSpec};
 
 const BUDGET: u64 = 100_000_000;
 
@@ -102,54 +105,13 @@ fn dataset(args: &[String]) -> DataSet {
     }
 }
 
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn option_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
-}
-
-/// Parses `--deadline-ms N` into a wall-clock deadline.
-fn deadline_arg(args: &[String]) -> Result<Option<std::time::Duration>, String> {
-    option_value(args, "--deadline-ms")
-        .map(|v| v.parse::<u64>().map_err(|_| format!("bad --deadline-ms value `{v}`")))
-        .transpose()
-        .map(|ms| ms.map(std::time::Duration::from_millis))
-}
-
-/// Parses `--mem-budget-mb N` into a per-workload memory budget.
-/// Parses the adaptive-profiling flags: `--adaptive` plus the optional
-/// `--phase-window N` / `--max-rearms N` budget overrides. The budget
-/// flags without `--adaptive` are an error (they would silently do
-/// nothing otherwise).
-fn phase_budget_arg(args: &[String]) -> Result<Option<vp_core::PhaseBudget>, String> {
-    let window = option_value(args, "--phase-window");
-    let max_rearms = option_value(args, "--max-rearms");
-    if !flag(args, "--adaptive") {
-        if window.is_some() || max_rearms.is_some() {
-            return Err("--phase-window/--max-rearms require --adaptive".to_string());
-        }
-        return Ok(None);
+/// `--all` profiles every register-defining instruction, not just loads.
+fn selection(args: &[String]) -> Selection {
+    if flag(args, "--all") {
+        Selection::RegisterDefining
+    } else {
+        Selection::LoadsOnly
     }
-    let mut budget = vp_core::PhaseBudget::default();
-    if let Some(v) = window {
-        budget.window = v.parse().map_err(|_| format!("bad --phase-window value `{v}`"))?;
-        if budget.window == 0 {
-            return Err("bad --phase-window value `0` (window must be positive)".to_string());
-        }
-    }
-    if let Some(v) = max_rearms {
-        budget.max_rearms = v.parse().map_err(|_| format!("bad --max-rearms value `{v}`"))?;
-    }
-    Ok(Some(budget))
-}
-
-fn mem_budget_arg(args: &[String]) -> Result<Option<vp_core::MemBudget>, String> {
-    option_value(args, "--mem-budget-mb")
-        .map(|v| v.parse::<usize>().map_err(|_| format!("bad --mem-budget-mb value `{v}`")))
-        .transpose()
-        .map(|mb| mb.map(vp_core::MemBudget::mib))
 }
 
 /// Resolves a target to (program, input): a workload name or a `.s` path.
@@ -232,15 +194,20 @@ fn disasm(args: &[String]) -> Result<(), String> {
 }
 
 fn profile(args: &[String]) -> Result<(), String> {
+    let spec = ProfileSpec::parse(Command::Profile, args)?;
     let ds = dataset(args);
     let target = target_arg(args)?;
+    let full_only = ["--memory", "--params"].into_iter().find(|f| flag(args, f));
+    let full_only = full_only.or(target.ends_with(".vpt").then_some("a .vpt trace"));
+    if let (Some(what), ProfileMode::Convergent(_)) = (full_only, spec.mode) {
+        return Err(format!("--convergent does not apply to {what}"));
+    }
     if target.ends_with(".vpt") {
         return profile_trace(target, args);
     }
     let (program, input) = resolve(target, ds)?;
     let cfg = MachineConfig::new().input(input);
-    let top: usize = option_value(args, "--top")
-        .map_or(Ok(10), |v| v.parse().map_err(|_| format!("bad --top value `{v}`")))?;
+    let top: usize = number(args, "--top", None)?.unwrap_or(10);
 
     if flag(args, "--memory") {
         let mut profiler = MemoryProfiler::new(TrackerConfig::with_full());
@@ -289,36 +256,26 @@ fn profile(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let selection =
-        if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
     let what = if flag(args, "--all") { "all register-defining instructions" } else { "loads" };
-
-    if flag(args, "--convergent") {
-        let mut profiler =
-            ConvergentProfiler::new(TrackerConfig::default(), ConvergentConfig::default());
-        Instrumenter::new()
-            .select(selection)
-            .run(&program, cfg, BUDGET, &mut profiler)
-            .map_err(|e| e.to_string())?;
-        let rows = [row(target, &profiler.metrics())];
+    let mode = spec.mode;
+    let mut profiler = mode.profiler(mode.default_tracker(), None);
+    profiler
+        .run(&Instrumenter::new().select(selection(args)), &program, cfg, BUDGET)
+        .map_err(|e| e.to_string())?;
+    let metrics = profiler.metrics();
+    let rows = [row(target, &metrics)];
+    if mode != ProfileMode::Full {
         println!("{}", render_metric_table(&format!("convergent profile: {what}"), &rows));
         println!("profiled {:.2}% of executions", profiler.overall_profile_fraction() * 100.0);
         return Ok(());
     }
-
-    let mut profiler = InstructionProfiler::new(TrackerConfig::with_full());
-    Instrumenter::new()
-        .select(selection)
-        .run(&program, cfg, BUDGET, &mut profiler)
-        .map_err(|e| e.to_string())?;
     if let Some(path) = option_value(args, "--save") {
-        vp_core::durable::write_profile(std::path::Path::new(path), &profiler.metrics())
+        vp_core::durable::write_profile(std::path::Path::new(path), &metrics)
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("saved {} entities to {path}", profiler.metrics().len());
+        println!("saved {} entities to {path}", metrics.len());
     }
-    let rows = [row(target, &profiler.metrics())];
     println!("{}", render_metric_table(&format!("value profile: {what}"), &rows));
-    let mut ms = profiler.metrics();
+    let mut ms = metrics;
     ms.sort_by_key(|m| std::cmp::Reverse(m.executions));
     println!("hottest instructions:");
     for m in ms.into_iter().take(top) {
@@ -362,95 +319,26 @@ fn profile(args: &[String]) -> Result<(), String> {
 /// land in the output and telemetry.
 fn profile_suite(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
-    use vp_bench::{Checkpoint, ProfileMode, RetryPolicy, SuiteRunner};
     use vp_obs::MemRecorder;
 
+    let spec = ProfileSpec::parse(Command::ProfileSuite, args)?;
     let ds = dataset(args);
-    let jobs: usize = option_value(args, "--jobs")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --jobs value `{v}`")))?;
-    let workers: Option<usize> = option_value(args, "--workers")
-        .map(|v| v.parse().map_err(|_| format!("bad --workers value `{v}`")))
-        .transpose()?;
-    if workers.is_some() && option_value(args, "--jobs").is_some() {
-        return Err(
-            "--jobs and --workers are mutually exclusive (threads vs worker processes)".to_string()
-        );
-    }
-    let shards: usize = option_value(args, "--shards")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --shards value `{v}`")))?;
-    if shards == 0 {
-        return Err("bad --shards value `0` (need at least one shard)".to_string());
-    }
-    let selection =
-        if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
-    let what = if flag(args, "--all") { "all register-defining instructions" } else { "loads" };
+    let all = flag(args, "--all");
+    let baseline = flag(args, "--baseline");
+    let what = if all { "all register-defining instructions" } else { "loads" };
     let telemetry_path = option_value(args, "--telemetry")
         .map_or_else(vp_bench::default_path, std::path::PathBuf::from);
-    let mut policy = RetryPolicy::default();
-    policy.max_retries = option_value(args, "--retries").map_or(Ok(policy.max_retries), |v| {
-        v.parse().map_err(|_| format!("bad --retries value `{v}`"))
-    })?;
-    let plan = vp_core::FaultPlan::from_env()?;
-    let deadline = deadline_arg(args)?;
-    let mem_budget = mem_budget_arg(args)?;
-    let phase_budget = phase_budget_arg(args)?;
-    if phase_budget.is_some() && flag(args, "--convergent") {
-        return Err("--adaptive and --convergent are mutually exclusive".to_string());
-    }
-
     let recorder = Arc::new(MemRecorder::new());
-    let mut runner = SuiteRunner::new()
-        .jobs(jobs)
-        .shards(shards)
-        .selection(selection)
-        .recorder(recorder.clone())
-        .retry(policy)
-        .faults(Arc::new(plan))
-        .deadline(deadline)
-        .mem_budget(mem_budget)
-        .measure_baseline(flag(args, "--baseline"));
-    if flag(args, "--convergent") {
-        runner = runner
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Convergent(ConvergentConfig::default()));
-    }
-    if let Some(budget) = phase_budget {
-        runner = runner
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Adaptive(ConvergentConfig::default(), budget));
-    }
-    match (option_value(args, "--checkpoint"), flag(args, "--resume")) {
-        (Some(path), resume) => {
-            let path = std::path::Path::new(path);
-            let checkpoint = if resume {
-                let (checkpoint, summary) = Checkpoint::resume(path)
-                    .map_err(|e| format!("cannot resume `{}`: {e}", path.display()))?;
-                // Progress notices go to stderr: stdout must stay
-                // byte-identical to an uninterrupted run's.
-                if let Some(reason) = &summary.dropped_tail {
-                    eprintln!("checkpoint: dropped torn final record ({reason})");
-                }
-                eprintln!(
-                    "resuming from {}: {} workload(s) restored",
-                    path.display(),
-                    summary.restored
-                );
-                checkpoint
-            } else {
-                Checkpoint::create(path)
-                    .map_err(|e| format!("cannot create `{}`: {e}", path.display()))?
-            };
-            runner = runner.checkpoint(Arc::new(checkpoint));
-        }
-        (None, true) => return Err("--resume requires --checkpoint FILE".to_string()),
-        (None, false) => {}
-    }
-    let outcome = match workers {
+    let plan = Arc::new(vp_core::FaultPlan::from_env()?);
+    let runner = suite_runner(&spec, selection(args), plan).measure_baseline(baseline);
+    let runner = orchestrate(runner, args, recorder.clone())?;
+    let outcome = match spec.workers {
         // Worker processes are crash domains: each profiles assigned
         // workloads behind the stdin/stdout frame protocol, and a dead
         // worker costs one retryable attempt, never the suite. Output
         // and masked telemetry stay byte-identical to `--jobs N`.
-        Some(n) => runner.try_run_distributed(&vp_workloads::suite(), worker_spec(args, n)?),
+        Some(n) => runner
+            .try_run_distributed(&vp_workloads::suite(), worker_spec(&spec, ds, all, baseline, n)?),
         None => runner.try_run(ds),
     };
     let profile = &outcome.profile;
@@ -458,13 +346,13 @@ fn profile_suite(args: &[String]) -> Result<(), String> {
         "{}",
         profile.render(&format!("suite value profile: {what} [{} data set]", ds.name()))
     );
-    if flag(args, "--convergent") || flag(args, "--adaptive") {
+    if spec.mode != ProfileMode::Full {
         println!("profiled fraction per workload:");
         for w in &profile.workloads {
             println!("  {:<10} {:6.2}%", w.name, w.profile_fraction * 100.0);
         }
     }
-    if let Some(budget) = phase_budget {
+    if let ProfileMode::Adaptive(_, budget) = spec.mode {
         println!(
             "adaptive phase detection (window {}, max {} re-arms/instruction):",
             budget.window, budget.max_rearms
@@ -477,7 +365,7 @@ fn profile_suite(args: &[String]) -> Result<(), String> {
             );
         }
     }
-    if flag(args, "--baseline") {
+    if baseline {
         println!("slowdown vs uninstrumented replay:");
         for w in &profile.workloads {
             match w.slowdown() {
@@ -501,7 +389,7 @@ fn profile_suite(args: &[String]) -> Result<(), String> {
     );
     let governed: Vec<_> =
         profile.workloads.iter().filter_map(|w| w.governor.map(|g| (w.name, g))).collect();
-    if let Some(budget) = mem_budget {
+    if let Some(budget) = spec.mem_budget {
         println!("governor (budget {} bytes/workload):", budget.limit_bytes());
         for (name, g) in &governed {
             println!(
@@ -519,23 +407,13 @@ fn profile_suite(args: &[String]) -> Result<(), String> {
         print!("{}", outcome.render_failures());
     }
 
-    let mode = format!(
-        "{}-{}",
-        if flag(args, "--adaptive") {
-            "adaptive"
-        } else if flag(args, "--convergent") {
-            "convergent"
-        } else {
-            "full"
-        },
-        if flag(args, "--all") { "all" } else { "loads" }
-    );
+    let mode = format!("{}-{}", spec.mode.name(), if all { "all" } else { "loads" });
     // `--workers N` reports N in the `jobs` field: the records describe
     // the same parallelism either way and stay byte-comparable.
     let mut records = vp_bench::suite_records(
         "profile-suite",
         ds,
-        workers.unwrap_or(jobs),
+        spec.workers.unwrap_or(spec.jobs),
         &mode,
         profile,
         Some(&recorder),
@@ -547,27 +425,83 @@ fn profile_suite(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the subprocess spec for `profile-suite --workers N`: the
-/// current binary re-invoked as `vprof worker` with the profiling flags
-/// forwarded. Orchestration flags (`--jobs`/`--workers`/`--retries`/
-/// `--checkpoint`/`--telemetry`) stay with the parent — workers only
-/// profile what they are told to.
-fn worker_spec(args: &[String], workers: usize) -> Result<vp_bench::WorkerSpec, String> {
+/// The suite runner `profile-suite`, `optimize` and `worker` share: the
+/// spec's mode, tracker, parallelism, shards, deadline and memory budget,
+/// with `plan` armed.
+fn suite_runner(
+    spec: &ProfileSpec,
+    selection: Selection,
+    plan: std::sync::Arc<vp_core::FaultPlan>,
+) -> vp_bench::SuiteRunner {
+    vp_bench::SuiteRunner::new()
+        .jobs(spec.jobs)
+        .shards(spec.shards)
+        .selection(selection)
+        .tracker(spec.mode.default_tracker())
+        .mode(spec.mode)
+        .faults(plan)
+        .deadline(spec.deadline)
+        .mem_budget(spec.mem_budget)
+}
+
+/// What the parent of a suite run adds to [`suite_runner`]: the
+/// telemetry recorder, `--retries N` and `--checkpoint FILE [--resume]`.
+fn orchestrate(
+    runner: vp_bench::SuiteRunner,
+    args: &[String],
+    recorder: std::sync::Arc<vp_obs::MemRecorder>,
+) -> Result<vp_bench::SuiteRunner, String> {
+    use vp_bench::{Checkpoint, RetryPolicy};
+    let mut policy = RetryPolicy::default();
+    policy.max_retries = number(args, "--retries", None)?.unwrap_or(policy.max_retries);
+    let runner = runner.recorder(recorder).retry(policy);
+    let checkpoint = match (option_value(args, "--checkpoint"), flag(args, "--resume")) {
+        (Some(path), true) => {
+            let path = std::path::Path::new(path);
+            let (checkpoint, summary) = Checkpoint::resume(path)
+                .map_err(|e| format!("cannot resume `{}`: {e}", path.display()))?;
+            // Progress notices go to stderr: stdout must stay
+            // byte-identical to an uninterrupted run's.
+            if let Some(reason) = &summary.dropped_tail {
+                eprintln!("checkpoint: dropped torn final record ({reason})");
+            }
+            eprintln!(
+                "resuming from {}: {} workload(s) restored",
+                path.display(),
+                summary.restored
+            );
+            checkpoint
+        }
+        (Some(path), false) => Checkpoint::create(std::path::Path::new(path))
+            .map_err(|e| format!("cannot create `{path}`: {e}"))?,
+        (None, true) => return Err("--resume requires --checkpoint FILE".to_string()),
+        (None, false) => return Ok(runner),
+    };
+    Ok(runner.checkpoint(std::sync::Arc::new(checkpoint)))
+}
+
+/// Builds the subprocess spec for `--workers N`: the current binary
+/// re-invoked as `vprof worker` with the flags rendered from the parsed
+/// data set, selection, baseline and [`ProfileSpec`]. Orchestration
+/// (`--jobs`/`--workers`/`--retries`/`--checkpoint`/`--telemetry`) stays
+/// with the parent — workers only profile what they are told to.
+fn worker_spec(
+    spec: &ProfileSpec,
+    ds: DataSet,
+    all: bool,
+    baseline: bool,
+    workers: usize,
+) -> Result<vp_bench::WorkerSpec, String> {
     let bin =
         std::env::current_exe().map_err(|e| format!("cannot locate the vprof binary: {e}"))?;
-    let mut forwarded = vec!["worker".to_string()];
-    for f in ["--train", "--all", "--convergent", "--adaptive", "--baseline"] {
-        if flag(args, f) {
-            forwarded.push(f.to_string());
+    let mut args = vec!["worker".to_string()];
+    for (on, f) in [(ds == DataSet::Train, "--train"), (all, "--all"), (baseline, "--baseline")] {
+        if on {
+            args.push(f.to_string());
         }
     }
-    for opt in ["--shards", "--phase-window", "--max-rearms", "--deadline-ms", "--mem-budget-mb"] {
-        if let Some(v) = option_value(args, opt) {
-            forwarded.push(opt.to_string());
-            forwarded.push(v.to_string());
-        }
-    }
-    Ok(vp_bench::WorkerSpec { bin, args: forwarded, workers })
+    args.extend(spec.worker_args());
+    Ok(vp_bench::WorkerSpec { bin, args, workers })
 }
 
 /// Hidden subcommand: the child end of `profile-suite --workers N`.
@@ -578,38 +512,12 @@ fn worker_spec(args: &[String], workers: usize) -> Result<vp_bench::WorkerSpec, 
 /// injection re-arms from this process's own `$VP_FAULTS` view, with
 /// `$VP_FAULTS_SCOPE` picking the victim worker.
 fn worker_cmd(args: &[String]) -> Result<(), String> {
-    use std::sync::Arc;
-    use vp_bench::{ProfileMode, RetryPolicy, SuiteRunner};
-
-    let ds = dataset(args);
-    let shards: usize = option_value(args, "--shards")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --shards value `{v}`")))?;
-    let selection =
-        if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
-    let plan = Arc::new(vp_core::FaultPlan::from_env()?);
-    let deadline = deadline_arg(args)?;
-    let mem_budget = mem_budget_arg(args)?;
-    let phase_budget = phase_budget_arg(args)?;
-
-    let mut runner = SuiteRunner::new()
-        .shards(shards)
-        .selection(selection)
-        .retry(RetryPolicy::none())
-        .faults(Arc::clone(&plan))
-        .deadline(deadline)
-        .mem_budget(mem_budget)
+    let spec = ProfileSpec::parse(Command::Worker, args)?;
+    let plan = std::sync::Arc::new(vp_core::FaultPlan::from_env()?);
+    let runner = suite_runner(&spec, selection(args), plan.clone())
+        .retry(vp_bench::RetryPolicy::none())
         .measure_baseline(flag(args, "--baseline"));
-    if flag(args, "--convergent") {
-        runner = runner
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Convergent(ConvergentConfig::default()));
-    }
-    if let Some(budget) = phase_budget {
-        runner = runner
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Adaptive(ConvergentConfig::default(), budget));
-    }
-    vp_bench::serve_worker(&runner, ds, &plan).map_err(|e| format!("worker: {e}"))
+    vp_bench::serve_worker(&runner, dataset(args), &plan).map_err(|e| format!("worker: {e}"))
 }
 
 /// Renders a human-readable summary of a `telemetry.jsonl` file. A final
@@ -654,52 +562,28 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
 /// `kill -9` + restart with `--resume` loses nothing a client cannot
 /// retransmit.
 fn serve_cmd(args: &[String]) -> Result<(), String> {
-    use vp_bench::serve::{serve, ServeConfig, SessionMode};
+    use vp_bench::serve::{serve, ServeConfig};
+    // Profiling options are checked before anything binds the socket.
+    let spec = ProfileSpec::parse(Command::Serve, args)?;
     let socket = option_value(args, "--socket")
         .ok_or_else(|| format!("serve needs --socket PATH\n{USAGE}"))?;
     let state_dir =
         option_value(args, "--state-dir").map_or_else(|| format!("{socket}.state"), str::to_string);
     let mut cfg =
         ServeConfig::new(std::path::PathBuf::from(socket), std::path::PathBuf::from(state_dir));
-    let count = |name: &str, min: usize, into: &mut usize| -> Result<(), String> {
-        if let Some(v) = option_value(args, name) {
-            *into = v.parse().map_err(|_| format!("bad {name} value `{v}`"))?;
-            if *into < min {
-                return Err(format!("bad {name} value `{v}` (need at least {min})"));
-            }
-        }
-        Ok(())
-    };
-    count("--max-sessions", 1, &mut cfg.max_sessions)?;
-    count("--max-tenants", 1, &mut cfg.max_tenants)?;
-    count("--tenant-sessions", 1, &mut cfg.tenant_sessions)?;
-    let mut window = cfg.window as usize;
-    let mut every = cfg.checkpoint_every as usize;
-    count("--window", 1, &mut window)?;
-    count("--checkpoint-every", 1, &mut every)?;
-    cfg.window = window as u64;
-    cfg.checkpoint_every = every as u64;
-    cfg.idle = option_value(args, "--idle-ms")
-        .map(|v| v.parse::<u64>().map_err(|_| format!("bad --idle-ms value `{v}`")))
-        .transpose()?
-        .map(std::time::Duration::from_millis);
-    cfg.deadline = deadline_arg(args)?;
-    cfg.mem_budget = mem_budget_arg(args)?;
+    let one = "need at least 1";
+    cfg.max_sessions = number(args, "--max-sessions", Some((1, one)))?.unwrap_or(cfg.max_sessions);
+    cfg.max_tenants = number(args, "--max-tenants", Some((1, one)))?.unwrap_or(cfg.max_tenants);
+    cfg.tenant_sessions =
+        number(args, "--tenant-sessions", Some((1, one)))?.unwrap_or(cfg.tenant_sessions);
+    cfg.window = number(args, "--window", Some((1, one)))?.unwrap_or(cfg.window);
+    cfg.checkpoint_every =
+        number(args, "--checkpoint-every", Some((1, one)))?.unwrap_or(cfg.checkpoint_every);
+    cfg.idle = number(args, "--idle-ms", None)?.map(std::time::Duration::from_millis);
+    cfg.deadline = spec.deadline;
+    cfg.mem_budget = spec.mem_budget;
+    cfg.mode = spec.mode;
     cfg.resume = flag(args, "--resume");
-    if let Some(budget) = phase_budget_arg(args)? {
-        if flag(args, "--convergent") {
-            return Err("--adaptive and --convergent are mutually exclusive".to_string());
-        }
-        cfg.mode = SessionMode::Adaptive(budget);
-    } else if flag(args, "--convergent") {
-        cfg.mode = SessionMode::Convergent;
-    }
-    if cfg.mem_budget.is_some() && cfg.mode != SessionMode::Full {
-        return Err(
-            "--mem-budget-mb needs the full profiler (the convergent trackers are already constant-space)"
-                .to_string(),
-        );
-    }
     // Telemetry is opt-in: a flag or the environment, never by default.
     cfg.telemetry = option_value(args, "--telemetry").map(std::path::PathBuf::from).or_else(|| {
         std::env::var_os(vp_bench::telemetry::TELEMETRY_ENV).map(|_| vp_bench::default_path())
@@ -748,17 +632,10 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
             std::path::Path::new(target).file_stem().map(|s| s.to_string_lossy().replace('.', "_"))
         })
         .ok_or_else(|| format!("cannot derive a workload name from `{target}`; use --workload"))?;
-    let window: u64 = option_value(args, "--window")
-        .map_or(Ok(16), |v| v.parse().map_err(|_| format!("bad --window value `{v}`")))?;
-    if window == 0 {
-        return Err("bad --window value `0` (need at least one inflight chunk)".to_string());
-    }
-    let corrupt: Option<u64> = option_value(args, "--corrupt-chunk")
-        .map(|v| v.parse().map_err(|_| format!("bad --corrupt-chunk value `{v}`")))
-        .transpose()?;
-    let abort_after: Option<u64> = option_value(args, "--abort-after")
-        .map(|v| v.parse().map_err(|_| format!("bad --abort-after value `{v}`")))
-        .transpose()?;
+    let window: u64 =
+        number(args, "--window", Some((1, "need at least one inflight chunk")))?.unwrap_or(16);
+    let corrupt: Option<u64> = number(args, "--corrupt-chunk", None)?;
+    let abort_after: Option<u64> = number(args, "--abort-after", None)?;
     let bytes = std::fs::read(target).map_err(|e| format!("cannot read `{target}`: {e}"))?;
     let chunks =
         vp_instrument::trace_codec::raw_chunks(&bytes).map_err(|e| format!("{target}: {e}"))?;
@@ -894,8 +771,7 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
     let ds = dataset(args);
     let target = target_arg(args)?;
     let (program, input) = resolve(target, ds)?;
-    let selection =
-        if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
+    let selection = selection(args);
     let out =
         option_value(args, "-o").map(str::to_owned).unwrap_or_else(|| format!("{target}.vpt"));
     let trace = vp_instrument::Trace::record(
@@ -921,20 +797,14 @@ fn record_cmd(args: &[String]) -> Result<(), String> {
     let ds = dataset(args);
     let target = target_arg(args)?;
     let (program, input) = resolve(target, ds)?;
-    let selection =
-        if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
-    let deadline = deadline_arg(args)?;
+    let selection = selection(args);
+    let deadline = number(args, "--deadline-ms", None)?.map(std::time::Duration::from_millis);
     let out =
         option_value(args, "-o").map(str::to_owned).unwrap_or_else(|| format!("{target}.vpc"));
     // Small traces fit one default-sized chunk; `--chunk-events` forces
     // more chunk boundaries so checkpoint/ACK paths can be exercised.
-    let chunk_events: usize = option_value(args, "--chunk-events").map_or(
-        Ok(vp_instrument::trace_codec::DEFAULT_CHUNK_EVENTS),
-        |v| match v.parse() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad --chunk-events value `{v}` (need a positive count)")),
-        },
-    )?;
+    let chunk_events = number(args, "--chunk-events", Some((1, "need a positive count")))?
+        .unwrap_or(vp_instrument::trace_codec::DEFAULT_CHUNK_EVENTS);
     struct Recorder(vp_instrument::TraceEncoder);
     impl vp_instrument::Analysis for Recorder {
         fn after_instr(&mut self, _m: &Machine, ev: &vp_sim::InstrEvent) {
@@ -968,49 +838,36 @@ fn record_cmd(args: &[String]) -> Result<(), String> {
 }
 
 /// Replays a binary trace written by `vprof record` through the full
-/// value profiler. `--shards N` splits the replay by entity across N
-/// worker threads; the output is byte-identical to a serial replay (see
-/// `vp_core::shard`). An empty trace replays to the same zero-row
-/// profile an empty workload produces; a corrupt or truncated trace is
-/// rejected, never mis-decoded. `--deadline-ms N` bounds the replay's
-/// wall clock (checked at every chunk boundary); `--mem-budget-mb N`
-/// caps profiler memory via the degradation ladder (`vp_core::govern`),
+/// value profiler, or with `--adaptive [--phase-window N] [--max-rearms
+/// N]` through the adaptive convergent one (metrics reweighted to true
+/// totals, so the table is directly comparable to a full replay's, with
+/// the phase-detector counters printed after it). `--shards N` splits
+/// the replay by entity across N worker threads; the output is
+/// byte-identical to a serial replay (see `vp_core::shard`). An empty
+/// trace replays to the same zero-row profile an empty workload
+/// produces; a corrupt or truncated trace is rejected, never
+/// mis-decoded. `--deadline-ms N` bounds the replay's wall clock
+/// (checked at every chunk boundary); `--mem-budget-mb N` caps the full
+/// profiler's memory via the degradation ladder (`vp_core::govern`),
 /// split evenly across shards on a sharded replay.
 fn replay_cmd(args: &[String]) -> Result<(), String> {
+    use vp_core::StreamProfiler;
     let target = target_arg(args)?;
-    let shards: usize = option_value(args, "--shards")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --shards value `{v}`")))?;
-    if shards == 0 {
-        return Err("bad --shards value `0` (need at least one shard)".to_string());
-    }
-    let deadline = deadline_arg(args)?;
-    let mem_budget = mem_budget_arg(args)?;
+    let spec = ProfileSpec::parse(Command::Replay, args)?;
+    let (shards, tracker) = (spec.shards, spec.mode.default_tracker());
     // Zero-copy input: the trace is mapped (or read, on the fallback
     // paths) once, and every chunk decodes straight out of it.
     let file = vp_instrument::TraceFile::open(std::path::Path::new(target))
         .map_err(|e| format!("cannot read `{target}`: {e}"))?;
-    if let Some(budget) = phase_budget_arg(args)? {
-        if mem_budget.is_some() {
-            return Err(
-                "--mem-budget-mb is not supported with --adaptive (the convergent trackers are already constant-space)"
-                    .to_string(),
-            );
-        }
-        return replay_adaptive(args, target, &file, shards, deadline, budget);
-    }
-    let make = move |budget: Option<vp_core::MemBudget>| match budget {
-        Some(b) => InstructionProfiler::with_budget(TrackerConfig::with_full(), b),
-        None => InstructionProfiler::new(TrackerConfig::with_full()),
-    };
     // The whole decode-and-profile pass runs under the optional deadline;
     // every chunk boundary is a cancellation checkpoint.
-    let replay = || -> Result<(InstructionProfiler, u64, u64), String> {
+    let replay = || -> Result<(vp_bench::ModeProfiler, u64, u64), String> {
         let mut reader = file.reader().map_err(|e| format!("{target}: {e}"))?;
         // Serial replay decodes each chunk into one reused scratch buffer
         // and streams it straight into the batched observe path; a
         // sharded replay appends the scratch to the full stream so it
         // can be partitioned by entity.
-        let mut profiler = make(mem_budget);
+        let mut profiler = spec.mode.profiler(tracker, spec.mem_budget);
         let mut scratch: Vec<(u32, u64)> = Vec::new();
         let mut trace: Vec<(u32, u64)> = Vec::new();
         loop {
@@ -1025,31 +882,31 @@ fn replay_cmd(args: &[String]) -> Result<(), String> {
             }
         }
         if shards > 1 {
-            // One profiler exists per work-stealing partition, so the
-            // budget splits by the partition count, keeping the summed
-            // caps within the whole budget.
-            let split = mem_budget.map(|b| b.split(vp_core::partition_count(shards)));
-            profiler = vp_core::profile_sharded(&trace, shards, move || make(split));
+            profiler = spec.mode.profile_sharded(&trace, shards, tracker, spec.mem_budget);
         }
         Ok((profiler, reader.events_read(), reader.chunks_read() as u64))
     };
-    let (profiler, events_read, chunks_read) = match deadline {
+    let (profiler, events_read, chunks_read) = match spec.deadline {
         Some(d) => vp_instrument::cancel::run_with_deadline(d, replay)
             .map_err(|_| format!("replay {target}: deadline exceeded"))??,
         None => replay()?,
     };
+    let metrics = profiler.metrics();
     if let Some(out) = option_value(args, "--save") {
-        vp_core::durable::write_profile(std::path::Path::new(out), &profiler.metrics())
+        vp_core::durable::write_profile(std::path::Path::new(out), &metrics)
             .map_err(|e| format!("cannot write `{out}`: {e}"))?;
     }
-    let rows = [row(target, &profiler.metrics())];
+    let kind = match spec.mode {
+        ProfileMode::Full => String::new(),
+        mode => format!("{} ", mode.name()),
+    };
     println!(
         "{}",
         render_metric_table(
             &format!(
-                "value profile replayed from {target} ({events_read} events, {chunks_read} chunks, {shards} shard(s))",
+                "{kind}value profile replayed from {target} ({events_read} events, {chunks_read} chunks, {shards} shard(s))",
             ),
-            &rows
+            &[row(target, &metrics)]
         )
     );
     if let Some(g) = profiler.governor_stats() {
@@ -1058,77 +915,19 @@ fn replay_cmd(args: &[String]) -> Result<(), String> {
             g.bytes_peak, g.entities_degraded, g.entities_dropped, g.observations_dropped
         );
     }
-    Ok(())
-}
-
-/// `vprof replay --adaptive`: replays the trace through the adaptive
-/// convergent profiler instead of the full one. Same chunked streaming
-/// and deadline/shard machinery; metrics are reweighted to true totals,
-/// so the table is directly comparable to a full replay's, and the
-/// phase-detector counters are printed after it.
-fn replay_adaptive(
-    args: &[String],
-    target: &str,
-    file: &vp_instrument::TraceFile,
-    shards: usize,
-    deadline: Option<std::time::Duration>,
-    budget: vp_core::PhaseBudget,
-) -> Result<(), String> {
-    use vp_core::AdaptiveProfiler;
-    let make = move || {
-        AdaptiveProfiler::new(TrackerConfig::default(), ConvergentConfig::default(), budget)
-    };
-    let replay = || -> Result<(AdaptiveProfiler, u64, u64), String> {
-        let mut reader = file.reader().map_err(|e| format!("{target}: {e}"))?;
-        let mut profiler = make();
-        let mut scratch: Vec<(u32, u64)> = Vec::new();
-        let mut trace: Vec<(u32, u64)> = Vec::new();
-        loop {
-            vp_instrument::cancel::checkpoint();
-            if !reader.next_chunk_into(&mut scratch).map_err(|e| format!("{target}: {e}"))? {
-                break;
-            }
-            if shards > 1 {
-                trace.extend_from_slice(&scratch);
-            } else {
-                profiler.observe_batch(&scratch);
-            }
-        }
-        if shards > 1 {
-            profiler = vp_core::profile_sharded(&trace, shards, make);
-        }
-        Ok((profiler, reader.events_read(), reader.chunks_read() as u64))
-    };
-    let (profiler, events_read, chunks_read) = match deadline {
-        Some(d) => vp_instrument::cancel::run_with_deadline(d, replay)
-            .map_err(|_| format!("replay {target}: deadline exceeded"))??,
-        None => replay()?,
-    };
-    if let Some(out) = option_value(args, "--save") {
-        vp_core::durable::write_profile(std::path::Path::new(out), &profiler.metrics())
-            .map_err(|e| format!("cannot write `{out}`: {e}"))?;
+    if let ProfileMode::Adaptive(_, budget) = spec.mode {
+        println!("profiled fraction: {:6.2}%", profiler.overall_profile_fraction() * 100.0);
+        let ph = profiler.phase_stats().unwrap_or_default();
+        println!(
+            "adaptive: windows {}, shifts {}, rearms {}, denied {} (window {}, max {} re-arms)",
+            ph.windows,
+            ph.shifts_detected,
+            ph.rearms,
+            ph.rearms_denied,
+            budget.window,
+            budget.max_rearms
+        );
     }
-    let rows = [row(target, &profiler.metrics())];
-    println!(
-        "{}",
-        render_metric_table(
-            &format!(
-                "adaptive value profile replayed from {target} ({events_read} events, {chunks_read} chunks, {shards} shard(s))",
-            ),
-            &rows
-        )
-    );
-    println!("profiled fraction: {:6.2}%", profiler.overall_profile_fraction() * 100.0);
-    let ph = profiler.phase_stats();
-    println!(
-        "adaptive: windows {}, shifts {}, rearms {}, denied {} (window {}, max {} re-arms)",
-        ph.windows,
-        ph.shifts_detected,
-        ph.rearms,
-        ph.rearms_denied,
-        budget.window,
-        budget.max_rearms
-    );
     Ok(())
 }
 
@@ -1136,8 +935,7 @@ fn histogram(args: &[String]) -> Result<(), String> {
     let ds = dataset(args);
     let target = target_arg(args)?;
     let (program, input) = resolve(target, ds)?;
-    let selection =
-        if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
+    let selection = selection(args);
     let mut profiler = InstructionProfiler::new(TrackerConfig::default());
     Instrumenter::new()
         .select(selection)
@@ -1187,19 +985,13 @@ fn predict(args: &[String]) -> Result<(), String> {
     let (program, input) = resolve(target, ds)?;
 
     // Collect the load value stream once.
-    let mut stream: Vec<(u32, u64)> = Vec::new();
-    struct Collector<'a>(&'a mut Vec<(u32, u64)>);
-    impl vp_instrument::Analysis for Collector<'_> {
-        fn after_instr(&mut self, _m: &Machine, ev: &vp_sim::InstrEvent) {
-            if let Some((_, v)) = ev.dest {
-                self.0.push((ev.index, v));
-            }
-        }
-    }
-    Instrumenter::new()
-        .select(Selection::LoadsOnly)
-        .run(&program, MachineConfig::new().input(input), BUDGET, &mut Collector(&mut stream))
-        .map_err(|e| e.to_string())?;
+    let (stream, _) = vp_bench::record_stream(
+        &Instrumenter::new().select(Selection::LoadsOnly),
+        &program,
+        MachineConfig::new().input(input),
+        BUDGET,
+    )
+    .map_err(|e| e.to_string())?;
 
     println!("{:<14} {:>8} {:>8} {:>8}", "predictor", "hit%", "cover%", "prec%");
     let report = |name: &str, p: &mut dyn Predictor| {
@@ -1237,42 +1029,17 @@ fn predict(args: &[String]) -> Result<(), String> {
 /// an `optimize` section).
 fn optimize_cmd(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
-    use vp_bench::{Checkpoint, OptimizeConfig, ProfileMode, RetryPolicy, SuiteRunner};
+    use vp_bench::OptimizeConfig;
     use vp_obs::MemRecorder;
 
     if flag(args, "--demo") {
         return optimize_demo(args);
     }
 
-    let jobs: usize = option_value(args, "--jobs")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --jobs value `{v}`")))?;
-    let workers: Option<usize> = option_value(args, "--workers")
-        .map(|v| v.parse().map_err(|_| format!("bad --workers value `{v}`")))
-        .transpose()?;
-    if workers.is_some() && option_value(args, "--jobs").is_some() {
-        return Err(
-            "--jobs and --workers are mutually exclusive (threads vs worker processes)".to_string()
-        );
-    }
-    let shards: usize = option_value(args, "--shards")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --shards value `{v}`")))?;
-    if shards == 0 {
-        return Err("bad --shards value `0` (need at least one shard)".to_string());
-    }
+    let spec = ProfileSpec::parse(Command::Optimize, args)?;
     let telemetry_path = option_value(args, "--telemetry")
         .map_or_else(vp_bench::default_path, std::path::PathBuf::from);
     let report_path = option_value(args, "--report").unwrap_or("optimize-report.txt");
-    let mut policy = RetryPolicy::default();
-    policy.max_retries = option_value(args, "--retries").map_or(Ok(policy.max_retries), |v| {
-        v.parse().map_err(|_| format!("bad --retries value `{v}`"))
-    })?;
-    let plan = vp_core::FaultPlan::from_env()?;
-    let deadline = deadline_arg(args)?;
-    let mem_budget = mem_budget_arg(args)?;
-    let phase_budget = phase_budget_arg(args)?;
-    if phase_budget.is_some() && flag(args, "--convergent") {
-        return Err("--adaptive and --convergent are mutually exclusive".to_string());
-    }
 
     let mut cfg = OptimizeConfig::default();
     if let Some(v) = option_value(args, "--min-invariance") {
@@ -1282,85 +1049,32 @@ fn optimize_cmd(args: &[String]) -> Result<(), String> {
             return Err(format!("bad --min-invariance value `{v}` (want a fraction in 0..=1)"));
         }
     }
-    if let Some(v) = option_value(args, "--min-executions") {
-        cfg.options.candidates.min_executions =
-            v.parse().map_err(|_| format!("bad --min-executions value `{v}`"))?;
-    }
-    if let Some(v) = option_value(args, "--max-ways") {
-        cfg.options.max_ways = v.parse().map_err(|_| format!("bad --max-ways value `{v}`"))?;
-        if cfg.options.max_ways == 0 {
-            return Err("bad --max-ways value `0` (need at least one guarded value)".to_string());
-        }
-    }
+    let candidates = &mut cfg.options.candidates;
+    candidates.min_executions =
+        number(args, "--min-executions", None)?.unwrap_or(candidates.min_executions);
+    cfg.options.max_ways =
+        number(args, "--max-ways", Some((1, "need at least one guarded value")))?
+            .unwrap_or(cfg.options.max_ways);
 
     // The profiling pass: loads only, on the train input. Selection
     // *thresholds* read these metrics; the guard values themselves come
     // from an exact per-workload pass inside `optimize_from_outcome`.
     let recorder = Arc::new(MemRecorder::new());
-    let mut runner = SuiteRunner::new()
-        .jobs(jobs)
-        .shards(shards)
-        .selection(Selection::LoadsOnly)
-        .recorder(recorder.clone())
-        .retry(policy)
-        .faults(Arc::new(plan))
-        .deadline(deadline)
-        .mem_budget(mem_budget);
-    let mode = if flag(args, "--adaptive") {
-        "adaptive"
-    } else if flag(args, "--convergent") {
-        "convergent"
-    } else {
-        "full"
-    };
-    if flag(args, "--convergent") {
-        runner = runner
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Convergent(ConvergentConfig::default()));
-    }
-    if let Some(budget) = phase_budget {
-        runner = runner
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Adaptive(ConvergentConfig::default(), budget));
-    }
-    match (option_value(args, "--checkpoint"), flag(args, "--resume")) {
-        (Some(path), resume) => {
-            let path = std::path::Path::new(path);
-            let checkpoint = if resume {
-                let (checkpoint, summary) = Checkpoint::resume(path)
-                    .map_err(|e| format!("cannot resume `{}`: {e}", path.display()))?;
-                if let Some(reason) = &summary.dropped_tail {
-                    eprintln!("checkpoint: dropped torn final record ({reason})");
-                }
-                eprintln!(
-                    "resuming from {}: {} workload(s) restored",
-                    path.display(),
-                    summary.restored
-                );
-                checkpoint
-            } else {
-                Checkpoint::create(path)
-                    .map_err(|e| format!("cannot create `{}`: {e}", path.display()))?
-            };
-            runner = runner.checkpoint(Arc::new(checkpoint));
-        }
-        (None, true) => return Err("--resume requires --checkpoint FILE".to_string()),
-        (None, false) => {}
-    }
+    let plan = Arc::new(vp_core::FaultPlan::from_env()?);
+    let runner = suite_runner(&spec, Selection::LoadsOnly, plan);
+    let runner = orchestrate(runner, args, recorder)?;
     let workloads = vp_workloads::suite();
-    let outcome = match workers {
+    let outcome = match spec.workers {
         // Workers profile the train input; the parent owns everything
         // downstream of the profile, so the report and telemetry stay
         // byte-identical to an in-process run.
         Some(n) => {
-            let mut fwd = args.to_vec();
-            fwd.push("--train".to_string());
-            runner.try_run_distributed(&workloads, worker_spec(&fwd, n)?)
+            runner.try_run_distributed(&workloads, worker_spec(&spec, cfg.train, false, false, n)?)
         }
         None => runner.try_run(cfg.train),
     };
 
-    let report = vp_bench::optimize_from_outcome(&outcome, &workloads, mode, &cfg)?;
+    let report = vp_bench::optimize_from_outcome(&outcome, &workloads, spec.mode.name(), &cfg)?;
     print!("{}", report.render());
     if !outcome.is_clean() {
         println!();
@@ -1777,6 +1491,128 @@ mod tests {
         assert!(dispatch(&args(&["replay", out_s, "--max-rearms", "4"]))
             .unwrap_err()
             .contains("require --adaptive"));
+    }
+
+    /// Every command that takes profiling options rejects the same bad
+    /// combinations with the same typed error, and `serve` rejects them
+    /// before it binds its socket.
+    #[test]
+    fn every_command_validates_profiling_flags_alike() {
+        use crate::spec::SpecError;
+        let dir = std::env::temp_dir().join(format!("vprof-cli-test-spec-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("serve.sock");
+        // What each command needs besides the flags under test.
+        let commands = [
+            (Command::ProfileSuite, vec![]),
+            (Command::Optimize, vec![]),
+            (Command::Replay, args(&["missing.vpc"])),
+            (Command::Serve, args(&["--socket", sock.to_str().unwrap()])),
+            (Command::Worker, vec![]),
+            (Command::Profile, args(&["hydro2d"])),
+        ];
+        let zero_shards = SpecError::BadValue {
+            flag: "--shards",
+            value: "0".to_string(),
+            why: Some("need at least one shard"),
+        };
+        let cases = [
+            (
+                &["--adaptive", "--convergent"][..],
+                SpecError::Exclusive("--adaptive", "--convergent"),
+            ),
+            (&["--convergent", "--mem-budget-mb", "1"], SpecError::BudgetNeedsFull("convergent")),
+            (&["--adaptive", "--mem-budget-mb", "1"], SpecError::BudgetNeedsFull("adaptive")),
+            (&["--phase-window", "64"], SpecError::PhaseNeedsAdaptive),
+            (&["--max-rearms", "4"], SpecError::PhaseNeedsAdaptive),
+            (&["--shards", "0"], zero_shards),
+        ];
+        for (command, base) in &commands {
+            for (flags, want) in &cases {
+                let mut line = base.clone();
+                line.extend(args(flags));
+                assert_eq!(ProfileSpec::parse(*command, &line).as_ref(), Err(want), "{line:?}");
+                line.insert(0, command.name().to_string());
+                assert_eq!(dispatch(&line).unwrap_err(), want.to_string(), "{line:?}");
+                assert!(!sock.exists(), "serve bound its socket before rejecting {line:?}");
+            }
+        }
+        // Replay alone cannot run the convergent profiler; profile runs
+        // only the full and convergent ones, ungoverned and unsharded.
+        let unsupported = [
+            (&["replay", "missing.vpc", "--convergent"][..], "replay", "--convergent"),
+            (&["profile", "hydro2d", "--adaptive"], "profile", "--adaptive"),
+            (&["profile", "hydro2d", "--mem-budget-mb", "1"], "profile", "--mem-budget-mb"),
+            (&["profile", "hydro2d", "--deadline-ms", "9"], "profile", "--deadline-ms"),
+            (&["profile", "hydro2d", "--shards", "2"], "profile", "--shards"),
+            (&["profile", "hydro2d", "--jobs", "2"], "profile", "--jobs"),
+        ];
+        for (line, command, flag) in unsupported {
+            let want = SpecError::Unsupported { command, flag };
+            assert_eq!(dispatch(&args(line)).unwrap_err(), want.to_string(), "{line:?}");
+        }
+        // The full-only profiles reject --convergent instead of ignoring it.
+        for line in [
+            &["profile", "hydro2d", "--memory", "--convergent"][..],
+            &["profile", "x.vpt", "--convergent"],
+        ] {
+            assert!(dispatch(&args(line)).unwrap_err().starts_with("--convergent does not apply"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The flags `worker_spec` forwards parse back, in the worker, to the
+    /// parent's spec (parallelism stays with the parent) and to the
+    /// parent's data set, selection and baseline.
+    #[test]
+    fn worker_forwarding_round_trips_the_spec() {
+        let modes: [&[&str]; 4] = [
+            &[],
+            &["--convergent"],
+            &["--adaptive"],
+            &["--adaptive", "--phase-window", "256", "--max-rearms", "3"],
+        ];
+        let budgets: [&[&str]; 2] = [&[], &["--mem-budget-mb", "7"]];
+        let deadlines: [&[&str]; 2] = [&[], &["--deadline-ms", "2500"]];
+        let shards: [&[&str]; 3] = [&[], &["--shards", "1"], &["--shards", "3"]];
+        let mut checked = 0;
+        for command in [Command::ProfileSuite, Command::Optimize] {
+            for mode in modes {
+                for budget in budgets {
+                    for deadline in deadlines {
+                        for shard in shards {
+                            let line: Vec<String> =
+                                [&["--workers", "2"][..], mode, budget, deadline, shard]
+                                    .concat()
+                                    .iter()
+                                    .map(|s| s.to_string())
+                                    .collect();
+                            let Ok(parent) = ProfileSpec::parse(command, &line) else {
+                                assert!(!mode.is_empty() && !budget.is_empty(), "{line:?}");
+                                continue;
+                            };
+                            for (ds, all, baseline) in
+                                [(DataSet::Test, false, false), (DataSet::Train, true, true)]
+                            {
+                                let spec = worker_spec(&parent, ds, all, baseline, 2).unwrap();
+                                assert_eq!(spec.args[0], "worker");
+                                let fwd = &spec.args[1..];
+                                let child = ProfileSpec::parse(Command::Worker, fwd).unwrap();
+                                assert_eq!(child, ProfileSpec { jobs: 1, workers: None, ..parent });
+                                assert_eq!(dataset(fwd), ds, "{fwd:?}");
+                                assert_eq!(flag(fwd, "--all"), all, "{fwd:?}");
+                                assert_eq!(flag(fwd, "--baseline"), baseline, "{fwd:?}");
+                            }
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // Full mode with and without a budget, three non-full modes
+        // without one: 5 mode/budget pairs x 2 deadlines x 3 shard
+        // settings, for each of the two parents.
+        assert_eq!(checked, 2 * 5 * 2 * 3);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! `.s` assembly file.
 
 mod commands;
+mod spec;
 
 use std::process::ExitCode;
 

@@ -351,15 +351,11 @@ pub fn append_jsonl_with(plan: &FaultPlan, path: &Path, text: &str) -> io::Resul
     plan.fire("durable/append")?;
     let mut file =
         OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-    let mut existing = Vec::new();
-    file.read_to_end(&mut existing)?;
+    let len = file.metadata()?.len();
     // A complete log ends in a newline; anything after the last newline
     // is a partial record from a torn write.
-    let keep = match existing.iter().rposition(|&b| b == b'\n') {
-        Some(last_newline) => last_newline as u64 + 1,
-        None => 0,
-    };
-    let dropped = existing.len() as u64 - keep;
+    let keep = end_of_last_line(&mut file, len)?;
+    let dropped = len - keep;
     if dropped > 0 {
         file.set_len(keep)?;
     }
@@ -367,6 +363,24 @@ pub fn append_jsonl_with(plan: &FaultPlan, path: &Path, text: &str) -> io::Resul
     file.write_all(text.as_bytes())?;
     file.sync_all()?;
     Ok(dropped)
+}
+
+/// The offset just past the last `\n` in the first `end` bytes of
+/// `file` (0 if there is none). Scans backwards a block at a time, so an
+/// append costs the length of the torn tail, not of the whole log.
+fn end_of_last_line(file: &mut File, mut end: u64) -> io::Result<u64> {
+    let mut block = [0u8; 4096];
+    while end > 0 {
+        let start = end.saturating_sub(block.len() as u64);
+        let buf = &mut block[..(end - start) as usize];
+        file.seek(io::SeekFrom::Start(start))?;
+        file.read_exact(buf)?;
+        if let Some(i) = buf.iter().rposition(|&b| b == b'\n') {
+            return Ok(start + i as u64 + 1);
+        }
+        end = start;
+    }
+    Ok(0)
 }
 
 #[cfg(test)]
@@ -517,5 +531,27 @@ mod tests {
         let faulty = FaultPlan::parse("err:durable/append").unwrap();
         assert!(append_jsonl_with(&faulty, &path, "{\"e\":5}\n").is_err());
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "file untouched");
+    }
+
+    #[test]
+    fn append_recovers_torn_tail_longer_than_a_scan_block() {
+        let dir = tmp_dir("append_long_tail");
+        let path = dir.join("log.jsonl");
+        let plan = FaultPlan::empty();
+        for (name, torn) in [("empty-log", 0), ("one-block", 4096), ("blocks", 10_000)] {
+            let _ = std::fs::remove_file(&path);
+            let head = if name == "empty-log" { "" } else { "{\"a\":1}\n" };
+            let mut raw = head.as_bytes().to_vec();
+            raw.resize(raw.len() + torn, b'x');
+            std::fs::write(&path, &raw).unwrap();
+            let dropped = append_jsonl_with(&plan, &path, "{\"b\":2}\n").unwrap();
+            assert_eq!(dropped, torn as u64, "{name}");
+            let want = format!("{head}{{\"b\":2}}\n");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), want, "{name}");
+        }
+        // A torn tail with no newline anywhere empties the log.
+        std::fs::write(&path, vec![b'x'; 9000]).unwrap();
+        assert_eq!(append_jsonl_with(&plan, &path, "{\"c\":3}\n").unwrap(), 9000);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"c\":3}\n");
     }
 }

@@ -162,7 +162,7 @@ where
         .collect()
 }
 
-/// How one item of a `try_parallel_map*` run failed.
+/// How one item of a [`try_parallel_map_deadline`] run failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
     /// The closure panicked; the payload is in
@@ -180,7 +180,7 @@ pub enum FailureKind {
     WorkerDeath,
 }
 
-/// A failure captured from one item of a [`try_parallel_map`] run.
+/// A failure captured from one item of a [`try_parallel_map_deadline`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ItemFailure {
     /// Index of the input item whose closure failed.
@@ -226,7 +226,7 @@ fn classify(index: usize, payload: Box<dyn std::any::Any + Send>) -> ItemFailure
     }
 }
 
-/// Process-wide count of in-flight [`try_parallel_map`] runs; while it is
+/// Process-wide count of in-flight [`try_parallel_map_deadline`] runs; while it is
 /// nonzero the panic hook stays quiet, so captured per-item panics do not
 /// spray stack traces over the tool's output.
 static QUIET_DEPTH: AtomicUsize = AtomicUsize::new(0);
@@ -262,48 +262,20 @@ pub(crate) fn quiet_panics() -> QuietPanics {
     QuietPanics::engage()
 }
 
-/// [`parallel_map`] with per-item panic isolation: a panic in `f` is
-/// caught and returned as `Err(`[`ItemFailure`]`)` in that item's slot
-/// instead of taking down the whole map. Every other item still runs and
-/// returns its result; slots stay in input order.
+/// [`parallel_map_observed`] with per-item panic isolation and an
+/// optional per-item wall-clock deadline.
 ///
-/// The closure is wrapped in [`AssertUnwindSafe`]: each item is processed
-/// independently and a panicked item's partial state is discarded with its
-/// slot, but a closure that mutates caller-visible shared state is itself
-/// responsible for keeping that state coherent across a panic.
-pub fn try_parallel_map<T, O, F>(jobs: usize, items: &[T], f: F) -> Vec<Result<O, ItemFailure>>
-where
-    T: Sync,
-    O: Send,
-    F: Fn(&T) -> O + Sync,
-{
-    try_parallel_map_observed(jobs, items, f, &NullRecorder)
-}
-
-/// [`try_parallel_map`] with the self-profiling of
-/// [`parallel_map_observed`]. Panicked items still contribute their item
-/// time and `WorkerItems` count — the work was done, it just failed.
-pub fn try_parallel_map_observed<T, O, F>(
-    jobs: usize,
-    items: &[T],
-    f: F,
-    rec: &dyn Recorder,
-) -> Vec<Result<O, ItemFailure>>
-where
-    T: Sync,
-    O: Send,
-    F: Fn(&T) -> O + Sync,
-{
-    try_parallel_map_deadline(jobs, items, f, rec, None)
-}
-
-/// [`try_parallel_map_observed`] with an optional per-item wall-clock
-/// deadline. With `deadline: None` the behavior is identical; with a
-/// deadline armed, a watchdog thread samples every in-flight item and
-/// cancels (cooperatively — see [`cancel`]) any running longer than the
-/// deadline. A cancelled item's slot holds a [`FailureKind::Timeout`]
+/// A panic in `f` is caught and returned as `Err(`[`ItemFailure`]`)` in
+/// that item's slot instead of taking down the whole map. Every other
+/// item still runs and returns its result; slots stay in input order.
+/// Panicked items still contribute their item time and `WorkerItems`
+/// count — the work was done, it just failed.
+///
+/// With a deadline armed, a watchdog thread samples every in-flight item
+/// and cancels (cooperatively — see [`cancel`]) any running longer than
+/// the deadline. A cancelled item's slot holds a [`FailureKind::Timeout`]
 /// failure; every other item still runs to completion, so one hung item
-/// can never stall the map.
+/// can never stall the map. `deadline: None` arms no watchdog.
 ///
 /// The watchdog needs worker threads to observe, so an armed deadline
 /// forces the threaded path even for `jobs == 1`; per-item isolation
@@ -312,6 +284,11 @@ where
 /// The deadline bounds items that *cooperate* (reach checkpoints — the
 /// instrumentation runner and trace replay do); it cannot interrupt a
 /// closure that never checks, and never corrupts one mid-operation.
+///
+/// The closure is wrapped in [`AssertUnwindSafe`]: each item is processed
+/// independently and a panicked item's partial state is discarded with its
+/// slot, but a closure that mutates caller-visible shared state is itself
+/// responsible for keeping that state coherent across a panic.
 pub fn try_parallel_map_deadline<T, O, F>(
     jobs: usize,
     items: &[T],
@@ -545,12 +522,18 @@ mod tests {
     fn try_map_isolates_panics_per_item() {
         let items: Vec<u64> = (0..40).collect();
         for jobs in [1, 4] {
-            let out = try_parallel_map(jobs, &items, |&x| {
-                if x % 13 == 5 {
-                    panic!("boom at {x}");
-                }
-                x * 2
-            });
+            let out = try_parallel_map_deadline(
+                jobs,
+                &items,
+                |&x| {
+                    if x % 13 == 5 {
+                        panic!("boom at {x}");
+                    }
+                    x * 2
+                },
+                &NullRecorder,
+                None,
+            );
             assert_eq!(out.len(), 40, "jobs={jobs}");
             for (i, slot) in out.iter().enumerate() {
                 if i % 13 == 5 {
@@ -570,8 +553,10 @@ mod tests {
     fn try_map_without_panics_matches_parallel_map() {
         let items: Vec<u64> = (0..23).collect();
         let plain = parallel_map(4, &items, |&x| x + 7);
-        let tried: Vec<u64> =
-            try_parallel_map(4, &items, |&x| x + 7).into_iter().map(Result::unwrap).collect();
+        let tried: Vec<u64> = try_parallel_map_deadline(4, &items, |&x| x + 7, &NullRecorder, None)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(plain, tried);
     }
 
@@ -581,11 +566,12 @@ mod tests {
         for jobs in [1, 4] {
             let rec = MemRecorder::new();
             let items: Vec<u64> = (0..10).collect();
-            let out = try_parallel_map_observed(
+            let out = try_parallel_map_deadline(
                 jobs,
                 &items,
                 |&x| if x == 3 { panic!("nope") } else { x },
                 &rec,
+                None,
             );
             assert_eq!(out.iter().filter(|r| r.is_err()).count(), 1, "jobs={jobs}");
             assert_eq!(rec.snapshot().get(CounterId::WorkerItems), 10, "jobs={jobs}");
@@ -646,7 +632,7 @@ mod tests {
     #[test]
     fn generous_deadline_changes_nothing() {
         let items: Vec<u64> = (0..12).collect();
-        let plain = try_parallel_map(4, &items, |&x| x + 1);
+        let plain = try_parallel_map_deadline(4, &items, |&x| x + 1, &NullRecorder, None);
         let dead = try_parallel_map_deadline(
             4,
             &items,
