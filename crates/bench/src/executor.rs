@@ -42,7 +42,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -50,8 +50,7 @@ use vp_core::fault::{self, FaultAction};
 use vp_core::FaultPlan;
 use vp_instrument::frame::{self, FrameError, FrameReader};
 use vp_instrument::{effective_jobs, FailureKind};
-use vp_obs::recorder::Stopwatch;
-use vp_obs::{CounterId, HistId, Json, Recorder};
+use vp_obs::Json;
 use vp_workloads::{DataSet, Workload};
 
 use crate::checkpoint;
@@ -532,103 +531,6 @@ impl Drop for ProcessPool {
     }
 }
 
-/// Dispatches one retry round of workloads across an executor, mirroring
-/// the in-process parallel map's observation discipline *exactly* — the
-/// same thread count, the same per-item `ItemNs`/`WorkerItems`
-/// observations (failures included), the same one busy/queue-wait pair
-/// per thread — so a clean `--workers N` run's masked telemetry is
-/// byte-identical to in-process `--jobs N`.
-pub(crate) fn dispatch_round<F>(
-    workers: usize,
-    items: &[&Workload],
-    item_fn: F,
-    rec: &dyn Recorder,
-) -> Vec<Result<WorkloadProfile, WorkerFailure>>
-where
-    F: Fn(&Workload) -> Result<WorkloadProfile, WorkerFailure> + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let run_one = |index: usize| -> Result<WorkloadProfile, WorkerFailure> {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| item_fn(items[index]))) {
-            Ok(out) => out,
-            // A parent-side panic (checkpoint append failure) classifies
-            // like the in-process map would classify it.
-            Err(payload) => {
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "panic with non-string payload".to_string()
-                };
-                Err(WorkerFailure { kind: FailureKind::Panic, message, exit: None })
-            }
-        }
-    };
-    let threads = effective_jobs(workers).min(items.len());
-    if threads <= 1 {
-        if !rec.enabled() {
-            return (0..items.len()).map(run_one).collect();
-        }
-        let wall = Stopwatch::start();
-        let mut busy = 0u64;
-        let out = (0..items.len())
-            .map(|index| {
-                let item_clock = Stopwatch::start();
-                let result = run_one(index);
-                let item_ns = item_clock.elapsed_ns();
-                busy += item_ns;
-                rec.observe(HistId::ItemNs, item_ns);
-                rec.add(CounterId::WorkerItems, 1);
-                result
-            })
-            .collect();
-        rec.observe(HistId::WorkerBusyNs, busy);
-        rec.observe(HistId::WorkerQueueWaitNs, wall.elapsed_ns().saturating_sub(busy));
-        return out;
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<WorkloadProfile, WorkerFailure>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let enabled = rec.enabled();
-                let wall = enabled.then(Stopwatch::start);
-                let mut busy = 0u64;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    if enabled {
-                        let item_clock = Stopwatch::start();
-                        let out = run_one(i);
-                        let item_ns = item_clock.elapsed_ns();
-                        busy += item_ns;
-                        rec.observe(HistId::ItemNs, item_ns);
-                        rec.add(CounterId::WorkerItems, 1);
-                        *slots[i].lock().unwrap() = Some(out);
-                    } else {
-                        let out = run_one(i);
-                        *slots[i].lock().unwrap() = Some(out);
-                    }
-                }
-                if let Some(wall) = wall {
-                    rec.observe(HistId::WorkerBusyNs, busy);
-                    rec.observe(HistId::WorkerQueueWaitNs, wall.elapsed_ns().saturating_sub(busy));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("thread filled every claimed slot"))
-        .collect()
-}
-
 // Writes one result frame the fault-aware way: a `kill` armed on
 // worker/frame writes *half* the frame, flushes, and aborts — the
 // deterministic model of a SIGKILL mid-write, leaving a genuinely torn
@@ -745,6 +647,7 @@ mod tests {
     use super::*;
     use crate::suite::RetryPolicy;
     use std::sync::atomic::AtomicU64;
+    use vp_obs::CounterId;
 
     // A loopback "process": the worker side served over in-memory pipes,
     // no subprocess involved — proves the protocol round-trips profiles

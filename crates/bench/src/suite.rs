@@ -25,7 +25,7 @@ use vp_sim::Machine;
 use vp_workloads::{suite, DataSet, Workload};
 
 use crate::checkpoint::Checkpoint;
-use crate::executor::{self, ProcessPool, WorkerExecutor, WorkerExit, WorkerFailure, WorkerSpec};
+use crate::executor::{ProcessPool, WorkerExecutor, WorkerExit, WorkerFailure, WorkerSpec};
 use crate::mode::ModeProfiler;
 pub use crate::mode::ProfileMode;
 use crate::BUDGET;
@@ -479,18 +479,7 @@ impl SuiteRunner {
             profile
         };
         let outcome = self.run_rounds(workloads, |subset| {
-            try_parallel_map_deadline(
-                self.jobs,
-                subset,
-                |w| run_one(w),
-                &*self.recorder,
-                self.deadline,
-            )
-            .into_iter()
-            .map(|slot| {
-                slot.map_err(|f| WorkerFailure { kind: f.kind, message: f.message, exit: None })
-            })
-            .collect()
+            self.dispatch_round(self.jobs, subset, self.deadline, |w| Ok(run_one(w)))
         });
         self.flush_faults(&outcome.faults);
         outcome
@@ -498,8 +487,8 @@ impl SuiteRunner {
 
     /// [`try_run_workloads`](SuiteRunner::try_run_workloads), but each
     /// workload is profiled by a [`WorkerExecutor`] instead of an
-    /// in-process thread. The dispatcher mirrors the in-process parallel
-    /// map's observation discipline exactly, and a result that crossed
+    /// in-process thread. Both paths dispatch through the same parallel
+    /// map, so they observe alike, and a result that crossed
     /// the executor is replayed into the recorder the same way a restored
     /// checkpoint is — so a clean executor run's output *and* masked
     /// telemetry are byte-identical to `--jobs N`.
@@ -524,7 +513,7 @@ impl SuiteRunner {
         };
         let mut outcome = self.run_rounds(workloads, |subset| {
             exec.prepare(subset.len());
-            executor::dispatch_round(exec.slots(), subset, item_fn, &*self.recorder)
+            self.dispatch_round(exec.slots(), subset, None, item_fn)
         });
         let life = exec.counters();
         if life.deaths > 0 {
@@ -546,6 +535,27 @@ impl SuiteRunner {
         let outcome = self.try_run_executor(workloads, &pool);
         pool.shutdown();
         outcome
+    }
+
+    // One retry round over `subset` on up to `jobs` threads, through the
+    // same parallel map for the in-process and executor paths — which is
+    // what keeps their masked telemetry byte-identical. A caught panic or
+    // timeout becomes a `WorkerFailure` like any executor-reported one.
+    fn dispatch_round(
+        &self,
+        jobs: usize,
+        subset: &[&Workload],
+        deadline: Option<Duration>,
+        item_fn: impl Fn(&Workload) -> Result<WorkloadProfile, WorkerFailure> + Sync,
+    ) -> Vec<Result<WorkloadProfile, WorkerFailure>> {
+        try_parallel_map_deadline(jobs, subset, |w| item_fn(w), &*self.recorder, deadline)
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|f| {
+                    Err(WorkerFailure { kind: f.kind, message: f.message, exit: None })
+                })
+            })
+            .collect()
     }
 
     // The retry → quarantine loop shared by the in-process and

@@ -43,7 +43,6 @@ const USAGE: &str = "usage:
   vprof stats <telemetry.jsonl>
   vprof verify <profile.tsv> [--lenient]
   vprof histogram <target> [--train] [--all]
-  vprof trace <target> -o <file.vpt> [--train] [--all]
   vprof compare <workload>
   vprof predict <workload> [--train]
   vprof optimize [--jobs N|--workers N] [--shards N]
@@ -76,7 +75,6 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
         Some("client") => client_cmd(&args[1..]),
         Some("verify") => verify_cmd(&args[1..]),
         Some("histogram") => histogram(&args[1..]),
-        Some("trace") => trace_cmd(&args[1..]),
         Some("record") => record_cmd(&args[1..]),
         Some("replay") => replay_cmd(&args[1..]),
         Some("compare") => compare_cmd(&args[1..]),
@@ -198,12 +196,8 @@ fn profile(args: &[String]) -> Result<(), String> {
     let ds = dataset(args);
     let target = target_arg(args)?;
     let full_only = ["--memory", "--params"].into_iter().find(|f| flag(args, f));
-    let full_only = full_only.or(target.ends_with(".vpt").then_some("a .vpt trace"));
     if let (Some(what), ProfileMode::Convergent(_)) = (full_only, spec.mode) {
         return Err(format!("--convergent does not apply to {what}"));
-    }
-    if target.ends_with(".vpt") {
-        return profile_trace(target, args);
     }
     let (program, input) = resolve(target, ds)?;
     let cfg = MachineConfig::new().input(input);
@@ -744,46 +738,6 @@ fn verify_cmd(args: &[String]) -> Result<(), String> {
     let checked = vp_core::load_profile(std::path::Path::new(target), mode)
         .map_err(|e| format!("{target}: {e}"))?;
     println!("{target}: {}", checked.integrity);
-    Ok(())
-}
-
-fn profile_trace(path: &str, args: &[String]) -> Result<(), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let trace = vp_instrument::Trace::from_bytes(&bytes).map_err(|e| e.to_string())?;
-    let mut profiler = InstructionProfiler::new(TrackerConfig::with_full());
-    trace.replay(&mut profiler).map_err(|e| e.to_string())?;
-    if let Some(out) = option_value(args, "--save") {
-        vp_core::durable::write_profile(std::path::Path::new(out), &profiler.metrics())
-            .map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    }
-    let rows = [row(path, &profiler.metrics())];
-    println!(
-        "{}",
-        render_metric_table(
-            &format!("value profile replayed from {path} ({} events)", trace.len()),
-            &rows
-        )
-    );
-    Ok(())
-}
-
-fn trace_cmd(args: &[String]) -> Result<(), String> {
-    let ds = dataset(args);
-    let target = target_arg(args)?;
-    let (program, input) = resolve(target, ds)?;
-    let selection = selection(args);
-    let out =
-        option_value(args, "-o").map(str::to_owned).unwrap_or_else(|| format!("{target}.vpt"));
-    let trace = vp_instrument::Trace::record(
-        &program,
-        MachineConfig::new().input(input),
-        BUDGET,
-        selection,
-    )
-    .map_err(|e| e.to_string())?;
-    vp_core::durable::write_atomic(std::path::Path::new(&out), &trace.to_bytes())
-        .map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    println!("wrote {out}: {} events", trace.len());
     Ok(())
 }
 
@@ -1554,7 +1508,7 @@ mod tests {
         // The full-only profiles reject --convergent instead of ignoring it.
         for line in [
             &["profile", "hydro2d", "--memory", "--convergent"][..],
-            &["profile", "x.vpt", "--convergent"],
+            &["profile", "hydro2d", "--params", "--convergent"],
         ] {
             assert!(dispatch(&args(line)).unwrap_err().starts_with("--convergent does not apply"));
         }
@@ -1648,17 +1602,6 @@ mod tests {
         let text = std::fs::read_to_string(&out).unwrap();
         let parsed = vp_core::parse_profile(&text).unwrap();
         assert!(!parsed.is_empty());
-    }
-
-    #[test]
-    fn trace_record_and_replay() {
-        let dir = std::env::temp_dir().join("vprof-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("li.vpt");
-        assert!(dispatch(&args(&["trace", "li", "-o", out.to_str().unwrap()])).is_ok());
-        assert!(dispatch(&args(&["profile", out.to_str().unwrap()])).is_ok());
-        std::fs::write(&out, b"junk").unwrap();
-        assert!(dispatch(&args(&["profile", out.to_str().unwrap()])).is_err());
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! A minimal work-stealing-free parallel map over a slice, built on
 //! `std::thread::scope` — no external dependencies.
 //!
-//! The suite-profiling driver fans out one workload per worker: each item
-//! is claimed from a shared atomic index and its result written into a
-//! dedicated output slot, so results come back in input order regardless
-//! of which worker ran which item or in what order they finished.
+//! Every map here is a thin face over one private claim loop,
+//! [`claim_all`]: each item is claimed from a shared atomic index and its
+//! result written into a dedicated output slot, so results come back in
+//! input order regardless of which worker ran which item or in what order
+//! they finished. The core also owns the self-profiling discipline and
+//! cancellation, so every face observes and cancels alike.
 //!
 //! All the maps cooperate with [`cancel`](crate::cancel): the token
 //! installed on the calling thread (if any) is re-installed in every
@@ -16,6 +18,7 @@
 //! deadline; such items come back as [`FailureKind::Timeout`] failures,
 //! distinct from caught panics.
 
+use std::any::Any;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
@@ -42,6 +45,169 @@ pub fn effective_jobs(jobs: usize) -> usize {
     }
 }
 
+/// One worker's self-profiling state. With a disabled recorder no clock
+/// is ever read and each site costs one branch.
+struct Lane<'r> {
+    rec: &'r dyn Recorder,
+    wall: Option<Stopwatch>,
+    busy: u64,
+}
+
+impl<'r> Lane<'r> {
+    fn start(rec: &'r dyn Recorder) -> Lane<'r> {
+        Lane { rec, wall: rec.enabled().then(Stopwatch::start), busy: 0 }
+    }
+
+    /// Runs one item, recording its `ItemNs` sample and `WorkerItems`
+    /// count.
+    fn time<R>(&mut self, item: impl FnOnce() -> R) -> R {
+        if self.wall.is_none() {
+            return item();
+        }
+        let clock = Stopwatch::start();
+        let out = item();
+        let item_ns = clock.elapsed_ns();
+        self.busy += item_ns;
+        self.rec.observe(HistId::ItemNs, item_ns);
+        self.rec.add(CounterId::WorkerItems, 1);
+        out
+    }
+
+    /// Records the worker's busy/queue-wait pair: everything it spent
+    /// outside items is time waiting on (or contending for) the queue.
+    fn finish(self) {
+        if let Some(wall) = self.wall {
+            self.rec.observe(HistId::WorkerBusyNs, self.busy);
+            self.rec
+                .observe(HistId::WorkerQueueWaitNs, wall.elapsed_ns().saturating_sub(self.busy));
+        }
+    }
+}
+
+/// The one claim loop: runs `run(i)` for every `i < len` on up to `jobs`
+/// workers (`0` = available parallelism) and returns the results in index
+/// order. Every item, failed or not, adds one `ItemNs` sample and one
+/// `WorkerItems` count to `rec`, and every worker one
+/// `WorkerBusyNs`/`WorkerQueueWaitNs` pair.
+///
+/// With `jobs <= 1` and no deadline, everything runs on the calling
+/// thread and no thread is spawned: the caller's cancel token is already
+/// installed, and an unwind in `run` propagates as is.
+///
+/// Otherwise the workers claim items dynamically. Without a deadline each
+/// item runs under the caller's token, and workers stop claiming once it
+/// is cancelled. With a deadline each item runs under its own child token,
+/// and a watchdog cancels any item in flight for longer than the deadline;
+/// workers keep claiming, since a cancelled caller cancels every child. An
+/// unwind in `run` stops its worker and is re-raised on the calling
+/// thread, payload intact, once every worker has stopped — but a cancelled
+/// caller token is re-raised first, so a cancelled map never returns
+/// partial results.
+fn claim_all<R, F>(
+    jobs: usize,
+    len: usize,
+    rec: &dyn Recorder,
+    deadline: Option<Duration>,
+    run: F,
+) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let jobs = effective_jobs(jobs).min(len);
+    if jobs <= 1 && deadline.is_none() {
+        let mut lane = Lane::start(rec);
+        let out = (0..len).map(|i| lane.time(|| run(i))).collect();
+        lane.finish();
+        return out;
+    }
+
+    let parent = cancel::current();
+    let next = AtomicUsize::new(0);
+    let running = AtomicUsize::new(jobs);
+    let unwound: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    // One in-flight slot per worker, sampled by the deadline watchdog.
+    let inflight: Vec<Mutex<Option<(Instant, CancelToken)>>> =
+        (0..jobs).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for worker in 0..jobs {
+            let (parent, next, running, unwound) = (&parent, &next, &running, &unwound);
+            let (inflight, slots, run) = (&inflight, &slots, &run);
+            scope.spawn(move || {
+                let mut lane = Lane::start(rec);
+                loop {
+                    if deadline.is_none() && parent.as_ref().is_some_and(CancelToken::is_cancelled)
+                    {
+                        break;
+                    }
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= len {
+                        break;
+                    }
+                    let token = match deadline {
+                        None => parent.clone(),
+                        // A child token of its own, so the watchdog can
+                        // cancel this item alone.
+                        Some(_) => {
+                            let token =
+                                parent.as_ref().map_or_else(CancelToken::new, CancelToken::child);
+                            *inflight[worker].lock().unwrap() =
+                                Some((Instant::now(), token.clone()));
+                            Some(token)
+                        }
+                    };
+                    // Catch so an unwind ends this worker cleanly instead
+                    // of being replaced by the scope's generic join panic.
+                    let out = lane.time(|| {
+                        panic::catch_unwind(AssertUnwindSafe(|| match &token {
+                            Some(token) => cancel::with_token(token, || run(i)),
+                            None => run(i),
+                        }))
+                    });
+                    *inflight[worker].lock().unwrap() = None;
+                    match out {
+                        Ok(out) => *slots[i].lock().unwrap() = Some(out),
+                        Err(payload) => {
+                            unwound.lock().unwrap().get_or_insert(payload);
+                            break;
+                        }
+                    }
+                }
+                lane.finish();
+                running.fetch_sub(1, Ordering::Release);
+            });
+        }
+        if let Some(deadline) = deadline {
+            // The watchdog: cancel any in-flight item past its deadline,
+            // exit once every worker has stopped.
+            let (running, inflight) = (&running, &inflight);
+            scope.spawn(move || {
+                while running.load(Ordering::Acquire) > 0 {
+                    for slot in inflight {
+                        if let Some((started, token)) = &*slot.lock().unwrap() {
+                            if started.elapsed() >= deadline {
+                                token.cancel();
+                            }
+                        }
+                    }
+                    std::thread::sleep(WATCHDOG_POLL);
+                }
+            });
+        }
+    });
+    // Re-raise a cancellation on the calling thread *before* touching the
+    // slots: a cancelled map may have unfilled slots.
+    cancel::checkpoint();
+    if let Some(payload) = unwound.into_inner().unwrap() {
+        panic::resume_unwind(payload);
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap().expect("worker filled every claimed slot"))
+        .collect()
+}
+
 /// Applies `f` to every item of `items` on up to `jobs` worker threads
 /// (`0` = available parallelism) and returns the results in input order.
 ///
@@ -51,7 +217,8 @@ pub fn effective_jobs(jobs: usize) -> usize {
 /// construction, which is what makes `--jobs N` output comparable to
 /// serial runs.
 ///
-/// A panic in `f` propagates to the caller once all workers have stopped.
+/// A panic in `f` propagates to the caller, with its payload, once all
+/// workers have stopped.
 pub fn parallel_map<T, O, F>(jobs: usize, items: &[T], f: F) -> Vec<O>
 where
     T: Sync,
@@ -72,94 +239,7 @@ where
     O: Send,
     F: Fn(&T) -> O + Sync,
 {
-    let jobs = effective_jobs(jobs).min(items.len());
-    if jobs <= 1 {
-        // Caller-thread path: the caller's cancel token is already
-        // installed, and an unwind from a checkpoint inside `f`
-        // propagates with its payload intact.
-        if !rec.enabled() {
-            return items.iter().map(f).collect();
-        }
-        let wall = Stopwatch::start();
-        let mut busy = 0u64;
-        let out = items
-            .iter()
-            .map(|item| {
-                let item_clock = Stopwatch::start();
-                let result = f(item);
-                let item_ns = item_clock.elapsed_ns();
-                busy += item_ns;
-                rec.observe(HistId::ItemNs, item_ns);
-                rec.add(CounterId::WorkerItems, 1);
-                result
-            })
-            .collect();
-        rec.observe(HistId::WorkerBusyNs, busy);
-        rec.observe(HistId::WorkerQueueWaitNs, wall.elapsed_ns().saturating_sub(busy));
-        return out;
-    }
-
-    let parent = cancel::current();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<O>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let work = || {
-                    let enabled = rec.enabled();
-                    let wall = enabled.then(Stopwatch::start);
-                    let mut busy = 0u64;
-                    loop {
-                        if parent.as_ref().is_some_and(CancelToken::is_cancelled) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        let item_clock = enabled.then(Stopwatch::start);
-                        // Catch so a cancellation unwind inside `f` ends
-                        // this worker cleanly instead of being swallowed
-                        // by the scope's generic join panic; genuine
-                        // panics keep propagating.
-                        let out = panic::catch_unwind(AssertUnwindSafe(|| f(&items[i])));
-                        if let Some(clock) = item_clock {
-                            let item_ns = clock.elapsed_ns();
-                            busy += item_ns;
-                            rec.observe(HistId::ItemNs, item_ns);
-                            rec.add(CounterId::WorkerItems, 1);
-                        }
-                        match out {
-                            Ok(out) => *slots[i].lock().unwrap() = Some(out),
-                            Err(payload) if cancel::is_cancel_payload(payload.as_ref()) => break,
-                            Err(payload) => panic::resume_unwind(payload),
-                        }
-                    }
-                    if let Some(wall) = wall {
-                        // Everything a worker spends outside `f` is time
-                        // waiting on (or contending for) the shared queue.
-                        rec.observe(HistId::WorkerBusyNs, busy);
-                        rec.observe(
-                            HistId::WorkerQueueWaitNs,
-                            wall.elapsed_ns().saturating_sub(busy),
-                        );
-                    }
-                };
-                match &parent {
-                    Some(token) => cancel::with_token(token, work),
-                    None => work(),
-                }
-            });
-        }
-    });
-    // Re-raise a cancellation on the calling thread *before* touching the
-    // slots: a cancelled map may have unfilled slots, and must never
-    // return partial results.
-    cancel::checkpoint();
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("worker filled every claimed slot"))
-        .collect()
+    claim_all(jobs, items.len(), rec, None, |i| f(&items[i]))
 }
 
 /// How one item of a [`try_parallel_map_deadline`] run failed.
@@ -206,7 +286,7 @@ impl fmt::Display for ItemFailure {
 
 impl std::error::Error for ItemFailure {}
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -218,7 +298,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Turns a caught unwind payload into the right kind of [`ItemFailure`]:
 /// a cooperative-cancellation payload is a timeout, anything else a panic.
-fn classify(index: usize, payload: Box<dyn std::any::Any + Send>) -> ItemFailure {
+fn classify(index: usize, payload: Box<dyn Any + Send>) -> ItemFailure {
     if cancel::is_cancel_payload(payload.as_ref()) {
         ItemFailure { index, kind: FailureKind::Timeout, message: cancel::Cancelled.to_string() }
     } else {
@@ -305,166 +385,10 @@ where
     if items.is_empty() {
         return Vec::new();
     }
-    let parent = cancel::current();
-
-    let Some(deadline) = deadline else {
-        let run_one = |index: usize| -> Result<O, ItemFailure> {
-            panic::catch_unwind(AssertUnwindSafe(|| f(&items[index])))
-                .map_err(|payload| classify(index, payload))
-        };
-
-        let jobs = effective_jobs(jobs).min(items.len());
-        if jobs <= 1 {
-            if !rec.enabled() {
-                return (0..items.len()).map(run_one).collect();
-            }
-            let wall = Stopwatch::start();
-            let mut busy = 0u64;
-            let out = (0..items.len())
-                .map(|index| {
-                    let item_clock = Stopwatch::start();
-                    let result = run_one(index);
-                    let item_ns = item_clock.elapsed_ns();
-                    busy += item_ns;
-                    rec.observe(HistId::ItemNs, item_ns);
-                    rec.add(CounterId::WorkerItems, 1);
-                    result
-                })
-                .collect();
-            rec.observe(HistId::WorkerBusyNs, busy);
-            rec.observe(HistId::WorkerQueueWaitNs, wall.elapsed_ns().saturating_sub(busy));
-            return out;
-        }
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<O, ItemFailure>>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    let work = || {
-                        let enabled = rec.enabled();
-                        let wall = enabled.then(Stopwatch::start);
-                        let mut busy = 0u64;
-                        loop {
-                            if parent.as_ref().is_some_and(CancelToken::is_cancelled) {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            if enabled {
-                                let item_clock = Stopwatch::start();
-                                let out = run_one(i);
-                                let item_ns = item_clock.elapsed_ns();
-                                busy += item_ns;
-                                rec.observe(HistId::ItemNs, item_ns);
-                                rec.add(CounterId::WorkerItems, 1);
-                                *slots[i].lock().unwrap() = Some(out);
-                            } else {
-                                let out = run_one(i);
-                                *slots[i].lock().unwrap() = Some(out);
-                            }
-                        }
-                        if let Some(wall) = wall {
-                            rec.observe(HistId::WorkerBusyNs, busy);
-                            rec.observe(
-                                HistId::WorkerQueueWaitNs,
-                                wall.elapsed_ns().saturating_sub(busy),
-                            );
-                        }
-                    };
-                    match &parent {
-                        Some(token) => cancel::with_token(token, work),
-                        None => work(),
-                    }
-                });
-            }
-        });
-        cancel::checkpoint();
-        return slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap().expect("worker filled every claimed slot"))
-            .collect();
-    };
-
-    // Deadline armed: threaded path always, one in-flight registry slot
-    // per worker for the watchdog to sample. Workers do not stop claiming
-    // on parent cancellation here — each item runs under a child token
-    // (cancelled transitively), so every slot is filled and `completed`
-    // reliably reaches `items.len()`, which is the watchdog's exit
-    // condition.
-    let jobs = effective_jobs(jobs).min(items.len());
-    let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let inflight: Vec<Mutex<Option<(Instant, CancelToken)>>> =
-        (0..jobs).map(|_| Mutex::new(None)).collect();
-    let slots: Vec<Mutex<Option<Result<O, ItemFailure>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for worker in 0..jobs {
-            let parent = &parent;
-            let next = &next;
-            let completed = &completed;
-            let inflight = &inflight;
-            let slots = &slots;
-            let f = &f;
-            scope.spawn(move || {
-                let enabled = rec.enabled();
-                let wall = enabled.then(Stopwatch::start);
-                let mut busy = 0u64;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let token = match parent {
-                        Some(p) => p.child(),
-                        None => CancelToken::new(),
-                    };
-                    *inflight[worker].lock().unwrap() = Some((Instant::now(), token.clone()));
-                    let item_clock = enabled.then(Stopwatch::start);
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                        cancel::with_token(&token, || f(&items[i]))
-                    }));
-                    *inflight[worker].lock().unwrap() = None;
-                    if let Some(clock) = item_clock {
-                        let item_ns = clock.elapsed_ns();
-                        busy += item_ns;
-                        rec.observe(HistId::ItemNs, item_ns);
-                        rec.add(CounterId::WorkerItems, 1);
-                    }
-                    *slots[i].lock().unwrap() =
-                        Some(result.map_err(|payload| classify(i, payload)));
-                    completed.fetch_add(1, Ordering::Release);
-                }
-                if let Some(wall) = wall {
-                    rec.observe(HistId::WorkerBusyNs, busy);
-                    rec.observe(HistId::WorkerQueueWaitNs, wall.elapsed_ns().saturating_sub(busy));
-                }
-            });
-        }
-        // The watchdog: cancel any in-flight item past its deadline, exit
-        // once every item has completed (cancelled items complete too).
-        scope.spawn(|| {
-            while completed.load(Ordering::Acquire) < items.len() {
-                for slot in &inflight {
-                    if let Some((started, token)) = &*slot.lock().unwrap() {
-                        if started.elapsed() >= deadline {
-                            token.cancel();
-                        }
-                    }
-                }
-                std::thread::sleep(WATCHDOG_POLL);
-            }
-        });
-    });
-    cancel::checkpoint();
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("worker filled every claimed slot"))
-        .collect()
+    claim_all(jobs, items.len(), rec, deadline, |i| {
+        panic::catch_unwind(AssertUnwindSafe(|| f(&items[i])))
+            .map_err(|payload| classify(i, payload))
+    })
 }
 
 #[cfg(test)]
@@ -661,6 +585,19 @@ mod tests {
         let failure = out[1].as_ref().unwrap_err();
         assert_eq!(failure.kind, FailureKind::Panic);
         assert_eq!(failure.message, "genuine failure");
+    }
+
+    #[test]
+    fn panic_reaches_the_caller_with_its_payload() {
+        let items: Vec<u64> = (0..16).collect();
+        for jobs in [1, 4] {
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                let _quiet = quiet_panics();
+                parallel_map(jobs, &items, |&x| if x == 9 { panic!("boom at {x}") } else { x })
+            }));
+            let payload = caught.unwrap_err();
+            assert_eq!(payload.downcast_ref::<String>().unwrap(), "boom at 9", "jobs={jobs}");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Human-readable summary of a telemetry file: `vprof stats <file>`.
 //!
-//! Renders run headers, a per-workload table and phase timings from the
-//! records defined in [`telemetry`](crate::telemetry). Unknown record
-//! kinds are counted but otherwise ignored, so the command keeps working
-//! when newer producers add record types.
+//! Renders run headers and per-workload, governor, adaptive, optimize,
+//! serve and failure tables from the records defined in
+//! [`telemetry`](crate::telemetry). Unknown record kinds are counted but
+//! otherwise ignored, so the command keeps working when newer producers
+//! add record types.
 
 use crate::counter::{CounterId, Counts};
 use crate::json::Json;
@@ -24,7 +25,6 @@ pub fn summarize_records(records: &[Json]) -> Result<String, String> {
 
     let mut out = String::new();
     let mut workloads: Vec<&Json> = Vec::new();
-    let mut phases: Vec<&Json> = Vec::new();
     let mut failures: Vec<&Json> = Vec::new();
     let mut optimized: Vec<&Json> = Vec::new();
     let mut serves: Vec<&Json> = Vec::new();
@@ -40,7 +40,6 @@ pub fn summarize_records(records: &[Json]) -> Result<String, String> {
                 out.push_str(&run_header(rec));
             }
             Some("workload") => workloads.push(rec),
-            Some("phase") => phases.push(rec),
             Some("faults") => {
                 out.push_str(&faults_line(rec));
             }
@@ -79,14 +78,6 @@ pub fn summarize_records(records: &[Json]) -> Result<String, String> {
     if !failures.is_empty() {
         out.push('\n');
         out.push_str(&failure_table(&failures));
-    }
-    if !phases.is_empty() {
-        out.push('\n');
-        out.push_str("phases:\n");
-        for rec in &phases {
-            let name = rec.get("name").and_then(Json::as_str).unwrap_or("?");
-            out.push_str(&format!("  {:<24} {:>10}\n", name, ms(rec.get("phase_ns"))));
-        }
     }
     if unknown > 0 {
         out.push_str(&format!("\n({unknown} record(s) of unknown kind ignored)\n"));
@@ -409,20 +400,19 @@ mod tests {
                     ("events", counts.to_json()),
                 ],
             ),
-            record("phase", "replay", vec![("phase_ns", Json::U64(3_500_000))]),
         ];
         to_jsonl(&records)
     }
 
     #[test]
-    fn summary_includes_run_workloads_and_phases() {
+    fn summary_includes_run_and_workloads() {
         let text = summarize(&sample_jsonl()).unwrap();
         assert!(text.contains("run: profile-suite"), "{text}");
         assert!(text.contains("jobs=4"), "{text}");
         assert!(text.contains("instr_events"), "{text}");
         assert!(text.contains("loop_inv"), "{text}");
-        assert!(text.contains("replay"), "{text}");
-        assert!(text.contains("3.50"), "{text}");
+        assert!(text.contains("2.00"), "{text}");
+        assert!(!text.contains("unknown kind"), "{text}");
     }
 
     #[test]

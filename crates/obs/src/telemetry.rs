@@ -15,14 +15,13 @@ pub const SCHEMA_VERSION: u64 = 1;
 
 /// Field names whose values vary run-to-run (timings and rates derived
 /// from them). [`mask_volatile`] replaces these everywhere in a record.
-pub const VOLATILE_KEYS: [&str; 10] = [
+pub const VOLATILE_KEYS: [&str; 9] = [
     "wall_ns",
     "baseline_wall_ns",
     "median_wall_ns",
     "warmup_wall_ns",
     "busy_ns",
     "wait_ns",
-    "phase_ns",
     "events_per_sec",
     "slowdown",
     "nanos_per_event",
