@@ -52,6 +52,7 @@ const USAGE: &str = "usage:
                       [--checkpoint FILE [--resume]] [--deadline-ms N] [--mem-budget-mb N]
   vprof optimize --demo [change-period]
   vprof specialize [change-period]   (alias for `optimize --demo`)
+  vprof exp <E1..E17|all>
 
 <target> is a built-in workload name or a path to a .s or .vpo file.";
 
@@ -87,6 +88,7 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
             demo.extend_from_slice(&args[1..]);
             optimize_cmd(&demo)
         }
+        Some("exp") => exp_cmd(&args[1..]),
         Some("--help") | Some("-h") | None => {
             println!("{USAGE}");
             Ok(())
@@ -1098,6 +1100,46 @@ fn optimize_demo(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `vprof exp <E1..E17|all>`: runs paper experiments from the registry in
+/// this process, prints their sections of the paper record and writes
+/// their telemetry records to `$VP_TELEMETRY` (default `telemetry.jsonl`).
+fn exp_cmd(args: &[String]) -> Result<(), String> {
+    print!("{}", run_experiments(args, &vp_bench::default_path())?);
+    Ok(())
+}
+
+/// The body of `vprof exp`: returns the rendered sections. The records
+/// replace `telemetry` (atomically, like every other telemetry writer), so
+/// repeated runs leave the same file; an experiment without records leaves
+/// it untouched.
+fn run_experiments(args: &[String], telemetry: &std::path::Path) -> Result<String, String> {
+    use vp_bench::experiments::{select, valid_ids, RunConfig};
+    let picked = match args {
+        [id] => select(id).map_err(|e| e.to_string())?,
+        [] => return Err(format!("missing experiment id (valid: {})", valid_ids())),
+        _ => {
+            return Err(format!(
+                "`vprof exp` takes one experiment id and no flags, got `{}` (valid: {})",
+                args.join(" "),
+                valid_ids()
+            ))
+        }
+    };
+    let workloads = suite();
+    let mut text = String::new();
+    let mut records = Vec::new();
+    for experiment in picked {
+        let report = experiment.run(&workloads, RunConfig::default());
+        text.push_str(&report.text);
+        records.extend(report.records);
+    }
+    if !records.is_empty() {
+        vp_bench::write_jsonl(telemetry, &records)
+            .map_err(|e| format!("cannot write `{}`: {e}", telemetry.display()))?;
+    }
+    Ok(text)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1112,6 +1154,15 @@ mod tests {
         assert!(dispatch(&args(&[])).is_ok());
         let err = dispatch(&args(&["frobnicate"])).unwrap_err();
         assert!(err.contains("unknown command"));
+        let err = dispatch(&args(&["exp", "E99"])).unwrap_err();
+        assert!(err.contains("unknown experiment `E99`") && err.contains("E17 or all"), "{err}");
+        let err = dispatch(&args(&["exp"])).unwrap_err();
+        assert!(err.contains("missing experiment id") && err.contains("E1, E2,"), "{err}");
+        // `vprof exp Ek` prints exactly section Ek of the paper record.
+        let record = include_str!("../../../experiments.out");
+        let e11 = vp_bench::experiments::sections(record).into_iter().find(|s| s.0 == "E11");
+        let telemetry = std::env::temp_dir().join("vprof-cli-exp-e11.jsonl");
+        assert_eq!(run_experiments(&args(&["E11"]), &telemetry).unwrap(), e11.unwrap().1);
     }
 
     #[test]
@@ -1589,6 +1640,29 @@ mod tests {
             .unwrap_err()
             .contains("bad change period"));
         assert!(dispatch(&args(&["assemble", "notasm.txt"])).unwrap_err().contains("expects a .s"));
+        // Experiments take no flags: the old per-binary `--jobs`/`--reps`
+        // are gone, and a stray one is an error naming the valid ids.
+        for stray in [["E1", "--jobs", "2"], ["E12", "--reps", "5"]] {
+            let err = dispatch(&args(&[&["exp"], &stray[..]].concat())).unwrap_err();
+            assert!(err.contains(&format!("no flags, got `{}`", stray.join(" "))), "{err}");
+            assert!(err.contains("E1, E2,") && err.contains("E17 or all"), "{err}");
+        }
+    }
+
+    #[test]
+    fn exp_replaces_its_telemetry() {
+        let dir = std::env::temp_dir().join("vprof-cli-exp-telemetry");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let first = run_experiments(&args(&["E1"]), &path).unwrap();
+        let after_one = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(run_experiments(&args(&["E1"]), &path).unwrap(), first);
+        let after_two = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(after_one, after_two, "a second run must replace, not append");
+        // E1: one experiment record plus one per workload.
+        assert_eq!(after_two.lines().count(), suite().len() + 1);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! Golden-file regression tests for the experiment reports and their
-//! telemetry records.
+//! Golden-file regression tests: the paper record and the telemetry
+//! behind it.
 //!
-//! Each test renders an experiment over a fixed slice of the workload
-//! suite and compares the report text plus the *masked* telemetry (wall
-//! times and other volatile fields replaced by `"<volatile>"`, see
-//! [`vp_obs::telemetry::VOLATILE_KEYS`]) against a checked-in golden file
-//! under `tests/golden/`.
+//! `experiments.out` at the repository root is the paper record: the
+//! section of every experiment in `vp_bench::experiments::REGISTRY`, run
+//! over the full suite. One registry run (jobs 1, reps 1), shared by the
+//! tests below, is compared against it section by section — E12's
+//! wall-clock text excepted — and each record-emitting experiment's
+//! *masked* telemetry (wall times and other volatile fields replaced by
+//! `"<volatile>"`, see [`vp_obs::telemetry::VOLATILE_KEYS`]) against
+//! `tests/golden/exp_<id>.jsonl`. The excerpts quoted in `EXPERIMENTS.md`
+//! are held to the record too.
 //!
-//! To regenerate after an intentional change:
+//! To regenerate after an intentional change (E12's committed section is
+//! kept, since a debug run's timings say nothing):
 //!
 //! ```text
 //! VP_UPDATE_GOLDEN=1 cargo test --test golden
@@ -15,24 +20,38 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use value_profiling::core::{ConvergentConfig, PhaseBudget};
 use value_profiling::obs::telemetry::{mask_volatile, parse_jsonl, to_jsonl};
 use value_profiling::obs::Json;
 use value_profiling::workloads::{suite, DataSet};
+use vp_bench::experiments::{sections, RunConfig, REGISTRY};
 use vp_bench::{
-    experiments, optimize_from_outcome, telemetry, OptimizeConfig, ProfileMode, SuiteRunner,
+    optimize_from_outcome, telemetry, ExpReport, OptimizeConfig, ProfileMode, SuiteRunner,
 };
 
+/// The experiments that emit telemetry records, one golden each.
+const RECORD_GOLDENS: [&str; 5] =
+    ["exp_E1.jsonl", "exp_E6.jsonl", "exp_E7.jsonl", "exp_E9.jsonl", "exp_E12.jsonl"];
+
+fn repo_file(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(name)
+}
+
 fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden")
+    repo_file("tests").join("golden")
+}
+
+fn updating() -> bool {
+    std::env::var_os("VP_UPDATE_GOLDEN").is_some()
 }
 
 /// Compares `actual` against `tests/golden/<name>`, or rewrites the file
 /// when `VP_UPDATE_GOLDEN` is set.
 fn check(name: &str, actual: &str) {
     let path = golden_dir().join(name);
-    if std::env::var_os("VP_UPDATE_GOLDEN").is_some() {
+    if updating() {
         fs::create_dir_all(golden_dir()).unwrap();
         fs::write(&path, actual).unwrap();
         return;
@@ -55,28 +74,114 @@ fn masked_jsonl(records: &[Json]) -> String {
     to_jsonl(&masked)
 }
 
-#[test]
-fn exp_benchmarks_matches_golden() {
-    let ws = suite();
-    let report = experiments::benchmarks(&ws[..3], 1);
-    check("exp_benchmarks.txt", &report.text);
-    check("exp_benchmarks.jsonl", &masked_jsonl(&report.records));
+/// Every registry entry run once over the full suite, in registry order.
+fn registry_run() -> &'static [ExpReport] {
+    static RUN: OnceLock<Vec<ExpReport>> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let ws = suite();
+        REGISTRY.iter().map(|e| e.run(&ws, RunConfig { jobs: 1, reps: 1 })).collect()
+    })
 }
 
 #[test]
-fn exp_convergent_matches_golden() {
-    let ws = suite();
-    let report = experiments::convergent(&ws[..3]);
-    check("exp_convergent.txt", &report.text);
-    check("exp_convergent.jsonl", &masked_jsonl(&report.records));
+fn paper_record_matches_experiments_out() {
+    let path = repo_file("experiments.out");
+    let committed = fs::read_to_string(&path).unwrap();
+    let committed = sections(&committed);
+    let run = registry_run();
+    if updating() {
+        let record: String = REGISTRY
+            .iter()
+            .zip(run)
+            .map(|(e, report)| match committed.iter().find(|s| s.0 == e.id) {
+                Some(&(_, kept)) if e.timed => kept,
+                _ => report.text.as_str(),
+            })
+            .collect();
+        fs::write(&path, record).unwrap();
+        return;
+    }
+    let ids: Vec<&str> = committed.iter().map(|s| s.0).collect();
+    let expected_ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+    assert_eq!(ids, expected_ids, "experiments.out must hold one section per registry entry");
+    let mut drifted = Vec::new();
+    for ((e, report), (_, section)) in REGISTRY.iter().zip(run).zip(&committed) {
+        if e.timed || report.text == *section {
+            continue;
+        }
+        let first = section.lines().zip(report.text.lines()).position(|(a, b)| a != b);
+        let line =
+            first.unwrap_or_else(|| section.lines().count().min(report.text.lines().count()));
+        drifted.push(format!(
+            "section {} drifted at its line {}:\n  committed: {:?}\n  fresh:     {:?}",
+            e.id,
+            line + 1,
+            section.lines().nth(line).unwrap_or("<end>"),
+            report.text.lines().nth(line).unwrap_or("<end>"),
+        ));
+    }
+    assert!(
+        drifted.is_empty(),
+        "experiments.out no longer matches the code:\n{}\nif the change is intentional, \
+         regenerate with VP_UPDATE_GOLDEN=1 cargo test --test golden and re-check \
+         EXPERIMENTS.md",
+        drifted.join("\n")
+    );
 }
 
 #[test]
-fn exp_tnv_policy_matches_golden() {
-    let ws = suite();
-    let report = experiments::tnv_policy(&ws[..3]);
-    check("exp_tnv_policy.txt", &report.text);
-    check("exp_tnv_policy.jsonl", &masked_jsonl(&report.records));
+fn experiment_records_match_goldens() {
+    let mut emitting = Vec::new();
+    for (e, report) in REGISTRY.iter().zip(registry_run()) {
+        if !report.records.is_empty() {
+            let name = format!("exp_{}.jsonl", e.id);
+            check(&name, &masked_jsonl(&report.records));
+            emitting.push(name);
+        }
+    }
+    assert_eq!(emitting, RECORD_GOLDENS, "the set of record-emitting experiments changed");
+}
+
+#[test]
+fn experiments_md_excerpts_appear_in_paper_record() {
+    // Every line of a ```text block under "## Ek" must be a line of
+    // section Ek of the paper record (E12's timings excepted), so the
+    // prose cannot quote numbers the record no longer holds. The sections
+    // come from the registry run, which the test above holds
+    // experiments.out to; that also keeps this check valid while
+    // VP_UPDATE_GOLDEN rewrites the file.
+    let doc = fs::read_to_string(repo_file("EXPERIMENTS.md")).unwrap();
+    let mut current: Option<&str> = None;
+    let mut in_text = false;
+    let mut checked: Vec<&str> = Vec::new();
+    let mut missing = Vec::new();
+    for line in doc.lines() {
+        if let Some(heading) = line.strip_prefix("## ") {
+            current = heading.split_whitespace().next().filter(|id| id.starts_with('E'));
+        } else if line == "```text" {
+            in_text = true;
+        } else if line == "```" {
+            in_text = false;
+        } else if in_text {
+            let Some(id) = current else { continue };
+            let k = REGISTRY.iter().position(|e| e.id == id).expect("EXPERIMENTS.md names an id");
+            if REGISTRY[k].timed {
+                continue;
+            }
+            if !registry_run()[k].text.lines().any(|l| l == line) {
+                missing.push(format!("{id}: {line:?}"));
+            }
+            checked.push(id);
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "EXPERIMENTS.md quotes lines that are not in experiments.out:\n{}",
+        missing.join("\n")
+    );
+    for e in REGISTRY.iter().filter(|e| !e.timed) {
+        assert!(checked.contains(&e.id), "EXPERIMENTS.md quotes no output for {}", e.id);
+    }
 }
 
 #[test]
@@ -143,10 +248,10 @@ fn optimize_run_matches_golden() {
 
 #[test]
 fn non_adaptive_goldens_carry_no_phase_section() {
-    // Absent-when-off: the pre-existing goldens must contain no phase
+    // Absent-when-off: the experiment goldens must contain no phase
     // fields, so runs without `--adaptive` stay byte-identical to before
     // the detector existed.
-    for name in ["exp_benchmarks.jsonl", "exp_convergent.jsonl", "exp_tnv_policy.jsonl"] {
+    for name in RECORD_GOLDENS {
         let text = fs::read_to_string(golden_dir().join(name)).unwrap();
         assert!(!text.contains("\"phase\""), "{name} grew a phase field");
     }
@@ -156,13 +261,7 @@ fn non_adaptive_goldens_carry_no_phase_section() {
 fn golden_telemetry_parses_and_is_masked() {
     // The checked-in .jsonl goldens must stay valid, schema-tagged JSONL
     // with every volatile field masked (masking is idempotent).
-    for name in [
-        "exp_benchmarks.jsonl",
-        "exp_convergent.jsonl",
-        "exp_tnv_policy.jsonl",
-        "adaptive_suite.jsonl",
-        "optimize_suite.jsonl",
-    ] {
+    for name in RECORD_GOLDENS.into_iter().chain(["adaptive_suite.jsonl", "optimize_suite.jsonl"]) {
         let path = golden_dir().join(name);
         let text = fs::read_to_string(&path).unwrap_or_else(|e| {
             panic!(
