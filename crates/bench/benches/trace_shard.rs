@@ -1,15 +1,14 @@
 //! Criterion bench: trace-event ingestion throughput.
 //!
-//! Compares the three ways a recorded `(pc, value)` stream can reach the
-//! full profiler — the per-event `observe` call, the batched
-//! `observe_batch` path (run-grouped, TNV top-slot fast path), and the
-//! entity-sharded parallel replay — on both a synthetic semi-invariant
-//! stream and a real recorded workload trace. Batching was built to be
-//! ≥ 1.5× the scalar path, but end to end it is about 1.0×: the traced
-//! repository benchmark
-//! (`python3 perfbench/run.py --workload trace-replay --seed N
-//! --seconds 20 --trace 1`) reports `instr_profile.batch_speedup` of
-//! 1.03 and 1.07 for seeds 1 and 2 on a 2-core machine.
+//! Compares the two ways a recorded `(pc, value)` stream can reach the
+//! full profiler — the per-event `observe` call and the entity-sharded
+//! parallel replay — on both a synthetic semi-invariant stream and a real
+//! recorded workload trace. `observe_batch` is a plain loop over
+//! `observe`: its run-grouping and TNV top-slot fast paths never paid end
+//! to end (the traced repository benchmark,
+//! `python3 perfbench/run.py --workload trace-replay --seed N --seconds 20
+//! --trace 1`, measured `instr_profile.batch_speedup` at 0.96–1.07 on a
+//! 2-core machine) and were deleted.
 //!
 //! A second group measures *replay* — decode the binary trace container,
 //! then profile — pitting the current zero-copy path (SWAR varints,
@@ -115,12 +114,6 @@ fn scalar(events: &[(u32, u64)]) -> InstructionProfiler {
     p
 }
 
-fn batched(events: &[(u32, u64)]) -> InstructionProfiler {
-    let mut p = InstructionProfiler::new(TrackerConfig::default());
-    p.observe_batch(black_box(events));
-    p
-}
-
 fn sharded(events: &[(u32, u64)], shards: usize) -> InstructionProfiler {
     profile_sharded(
         black_box(events),
@@ -158,7 +151,6 @@ fn bench_ingestion(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("trace_ingest/{name}"));
         group.throughput(Throughput::Elements(events.len() as u64));
         group.bench_function("scalar", |b| b.iter(|| black_box(scalar(events))));
-        group.bench_function("batched", |b| b.iter(|| black_box(batched(events))));
         for shards in [2usize, 4] {
             group.bench_with_input(BenchmarkId::new("sharded", shards), &shards, |b, &s| {
                 b.iter(|| black_box(sharded(events, s)))
@@ -238,7 +230,7 @@ fn rate<P>(events: &[(u32, u64)], f: IngestFn<'_, P>) -> f64 {
 }
 
 /// Writes `BENCH_shard.json`-style output when `BENCH_SHARD_JSON` names a
-/// path: events/sec for scalar vs batched vs sharded ingestion.
+/// path: events/sec for scalar vs sharded ingestion.
 fn write_json_summary() {
     let Ok(path) = std::env::var("BENCH_SHARD_JSON") else { return };
     if path.is_empty() || std::env::args().any(|a| a == "--test") {
@@ -251,7 +243,6 @@ fn write_json_summary() {
     let mut entries = Vec::new();
     for (name, events) in &streams {
         let scalar_eps = rate(events, &scalar);
-        let batched_eps = rate(events, &batched);
         let sharded2_eps = rate(events, &|e| sharded(e, 2));
         let sharded4_eps = rate(events, &|e| sharded(e, 4));
         let encoded = trace_codec::encode(events, trace_codec::DEFAULT_CHUNK_EVENTS);
@@ -265,13 +256,11 @@ fn write_json_summary() {
         });
         entries.push(format!(
             "{{\"stream\":\"{name}\",\"events\":{},\"scalar_eps\":{scalar_eps:.0},\
-             \"batched_eps\":{batched_eps:.0},\"sharded2_eps\":{sharded2_eps:.0},\
-             \"sharded4_eps\":{sharded4_eps:.0},\"batched_over_scalar\":{:.3},\
+             \"sharded2_eps\":{sharded2_eps:.0},\"sharded4_eps\":{sharded4_eps:.0},\
              \"replay_pr4_eps\":{replay_pr4_eps:.0},\
              \"replay_zerocopy_eps\":{replay_zerocopy_eps:.0},\
              \"replay_speedup\":{:.3}}}",
             events.len(),
-            batched_eps / scalar_eps,
             replay_zerocopy_eps / replay_pr4_eps,
         ));
     }

@@ -948,20 +948,29 @@ fn run_with<A: Analysis>(w: &Workload, selection: Selection, analysis: &mut A) -
         .total()
 }
 
-/// Runs `f` once to warm caches and the allocator, then `reps` more times
-/// and reports the *median* wall time in nanoseconds together with `f`'s
-/// last return value. A single cold timing (the old behaviour) routinely
-/// over-reported the first configuration measured by 2x.
-fn median_timed<T, F: FnMut() -> T>(reps: usize, mut f: F) -> (T, u64) {
-    let mut value = f(); // warm-up, untimed
-    let mut times: Vec<u64> = Vec::with_capacity(reps.max(1));
+/// Runs every configuration once to warm caches and the allocator (a
+/// cold first timing over-reports by up to 2x), then `reps` rounds that
+/// each time every configuration once, in turn, so host drift lands on
+/// all configurations alike instead of showing up as slowdown ratios.
+/// Returns each configuration's last value and its *median* wall time in
+/// nanoseconds.
+fn interleaved_medians<const N: usize>(
+    reps: usize,
+    mut configs: [&mut dyn FnMut() -> u64; N],
+) -> [(u64, u64); N] {
+    let mut values = configs.each_mut().map(|f| f()); // warm-up, untimed
+    let mut times: [Vec<u64>; N] = std::array::from_fn(|_| Vec::with_capacity(reps.max(1)));
     for _ in 0..reps.max(1) {
-        let clock = Stopwatch::start();
-        value = f();
-        times.push(clock.elapsed_ns());
+        for (i, f) in configs.iter_mut().enumerate() {
+            let clock = Stopwatch::start();
+            values[i] = f();
+            times[i].push(clock.elapsed_ns());
+        }
     }
-    times.sort_unstable();
-    (value, times[times.len() / 2])
+    std::array::from_fn(|i| {
+        times[i].sort_unstable();
+        (values[i], times[i][times[i].len() / 2])
+    })
 }
 
 /// E12 — profiling overhead: analysis events per instruction (exact,
@@ -971,7 +980,12 @@ fn median_timed<T, F: FnMut() -> T>(reps: usize, mut f: F) -> (T, u64) {
 /// footprint comparison.
 pub fn overhead(workloads: &[Workload], reps: usize) -> ExpReport {
     let mut text = String::new();
-    let _ = writeln!(text, "(wall times are medians of {} runs after a warm-up)", reps.max(1));
+    let _ = writeln!(
+        text,
+        "(wall times are medians of {} runs after a warm-up; each run times the four",
+        reps.max(1)
+    );
+    let _ = writeln!(text, " configurations in turn, so host drift hits them alike)");
     let _ = writeln!(
         text,
         "{:<10} {:>10} | {:>9} {:>9} | {:>9} {:>9} | {:>9} {:>9} | {:>10}",
@@ -994,24 +1008,31 @@ pub fn overhead(workloads: &[Workload], reps: usize) -> ExpReport {
         ],
     )];
     for w in workloads {
-        let (instrs, base_ns) = median_timed(reps, || run_plain(w));
-
-        let (load_events, load_ns) = median_timed(reps, || {
-            let mut p = InstructionProfiler::new(TrackerConfig::default());
-            run_with(w, Selection::LoadsOnly, &mut p)
-        });
-        let (all_events, all_ns) = median_timed(reps, || {
-            let mut p = InstructionProfiler::new(TrackerConfig::default());
-            run_with(w, Selection::RegisterDefining, &mut p)
-        });
         let mut conv_fraction = 0.0;
-        let (conv_events, conv_ns) = median_timed(reps, || {
-            let mut conv =
-                ConvergentProfiler::new(TrackerConfig::default(), ConvergentConfig::default());
-            let events = run_with(w, Selection::RegisterDefining, &mut conv);
-            conv_fraction = conv.overall_profile_fraction();
-            events
-        });
+        let [(instrs, base_ns), (load_events, load_ns), (all_events, all_ns), (conv_events, conv_ns)] =
+            interleaved_medians(
+                reps,
+                [
+                    &mut || run_plain(w),
+                    &mut || {
+                        let mut p = InstructionProfiler::new(TrackerConfig::default());
+                        run_with(w, Selection::LoadsOnly, &mut p)
+                    },
+                    &mut || {
+                        let mut p = InstructionProfiler::new(TrackerConfig::default());
+                        run_with(w, Selection::RegisterDefining, &mut p)
+                    },
+                    &mut || {
+                        let mut conv = ConvergentProfiler::new(
+                            TrackerConfig::default(),
+                            ConvergentConfig::default(),
+                        );
+                        let events = run_with(w, Selection::RegisterDefining, &mut conv);
+                        conv_fraction = conv.overall_profile_fraction();
+                        events
+                    },
+                ],
+            );
 
         let per = |e: u64| e as f64 / instrs as f64;
         let slow = |ns: u64| ns as f64 / base_ns.max(1) as f64;

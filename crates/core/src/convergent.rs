@@ -12,13 +12,12 @@
 //! experiment E7, and its trackers yield the same metrics as the full
 //! profiler so accuracy can be compared side by side.
 
-use std::collections::HashMap;
-
 use vp_instrument::Analysis;
 use vp_obs::{ConvEvents, TnvEvents};
 use vp_sim::{InstrEvent, Machine};
 
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
+use crate::pc_table::PcTable;
 use crate::phase::{Detector, PhaseBudget, PhaseStats, SKETCH_STRIDE};
 use crate::track::{TrackerConfig, ValueTracker};
 
@@ -146,7 +145,7 @@ pub struct ConvergentProfiler {
     /// detector's window bookkeeping never divides (0 when unarmed).
     samples_per_window: u64,
     phase_stats: PhaseStats,
-    states: HashMap<u32, ConvState>,
+    states: PcTable<ConvState>,
     events: ConvEvents,
 }
 
@@ -165,7 +164,7 @@ impl ConvergentProfiler {
             budget: None,
             samples_per_window: 0,
             phase_stats: PhaseStats::default(),
-            states: HashMap::new(),
+            states: PcTable::new(),
             events: ConvEvents::default(),
         }
     }
@@ -205,7 +204,7 @@ impl ConvergentProfiler {
 
     /// Whether one instruction is currently backed off (skipping).
     pub fn is_backed_off(&self, index: u32) -> bool {
-        self.states.get(&index).is_some_and(|s| matches!(s.phase, Phase::Skipping { .. }))
+        self.states.get(index).is_some_and(|s| matches!(s.phase, Phase::Skipping { .. }))
     }
 
     /// Re-arms one instruction's sampling state machine: back to burst
@@ -216,7 +215,7 @@ impl ConvergentProfiler {
     /// true totals across the re-arm. Returns whether the instruction
     /// existed and was backed off (a resume is recorded only then).
     pub fn rearm(&mut self, index: u32) -> bool {
-        let Some(state) = self.states.get_mut(&index) else { return false };
+        let Some(state) = self.states.get_mut(index) else { return false };
         let was_backed_off = matches!(state.phase, Phase::Skipping { .. });
         state.phase = Phase::Profiling { in_burst: 0 };
         state.prev_inv = None;
@@ -257,10 +256,9 @@ impl ConvergentProfiler {
     /// profiler's. Profiled-only counts remain available via
     /// [`stats`](ConvergentProfiler::stats).
     pub fn metrics(&self) -> Vec<EntityMetrics> {
-        let mut out: Vec<EntityMetrics> = self
-            .states
+        self.states
             .iter()
-            .map(|(&i, s)| {
+            .map(|(i, s)| {
                 let mut m = EntityMetrics::from_tracker(
                     u64::from(i),
                     &s.tracker,
@@ -269,9 +267,7 @@ impl ConvergentProfiler {
                 m.executions = s.total;
                 m
             })
-            .collect();
-        out.sort_by_key(|m| m.id);
-        out
+            .collect()
     }
 
     /// Execution-weighted aggregate over sampled trackers, weighted by the
@@ -283,13 +279,10 @@ impl ConvergentProfiler {
 
     /// Per-instruction overhead statistics, ordered by index.
     pub fn stats(&self) -> Vec<ConvergentStats> {
-        let mut out: Vec<ConvergentStats> = self
-            .states
+        self.states
             .iter()
-            .map(|(&index, s)| ConvergentStats { index, total: s.total, profiled: s.profiled })
-            .collect();
-        out.sort_by_key(|s| s.index);
-        out
+            .map(|(index, s)| ConvergentStats { index, total: s.total, profiled: s.profiled })
+            .collect()
     }
 
     /// Overall fraction of executions profiled (the headline overhead
@@ -306,7 +299,7 @@ impl ConvergentProfiler {
 
     /// The sampled tracker of one instruction.
     pub fn tracker(&self, index: u32) -> Option<&ValueTracker> {
-        self.states.get(&index).map(|s| &s.tracker)
+        self.states.get(index).map(|s| &s.tracker)
     }
 
     /// Feeds one `(instruction, value)` event directly — the trace-replay
@@ -318,7 +311,7 @@ impl ConvergentProfiler {
     /// oracle verifies).
     pub fn observe(&mut self, index: u32, value: u64) {
         let config = self.config;
-        let state = self.states.entry(index).or_insert_with(|| {
+        let state = self.states.get_or_insert_with(index, || {
             ConvState::new(self.tracker_config, config.initial_skip, self.budget.is_some())
         });
         let total = state.total + 1;
@@ -434,29 +427,19 @@ impl ConvergentProfiler {
             self.budget, other.budget,
             "cannot merge convergent profilers with different phase budgets"
         );
-        for (index, theirs) in other.states {
-            match self.states.entry(index) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(theirs);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let mine = e.get_mut();
-                    mine.tracker.merge(&theirs.tracker);
-                    mine.profiled += theirs.profiled;
-                    mine.total += theirs.total;
-                    mine.skip = mine.skip.max(theirs.skip);
-                    // Entity-disjoint shards never hit this arm; when an
-                    // instruction does appear on both sides, the spent
-                    // re-arm budget sums and this side's in-progress
-                    // window survives (it may keep observing).
-                    if let (Some(mine), Some(theirs)) =
-                        (mine.detect.as_mut(), theirs.detect.as_ref())
-                    {
-                        mine.absorb(theirs);
-                    }
-                }
+        self.states.merge_with(other.states, |mine, theirs| {
+            mine.tracker.merge(&theirs.tracker);
+            mine.profiled += theirs.profiled;
+            mine.total += theirs.total;
+            mine.skip = mine.skip.max(theirs.skip);
+            // Entity-disjoint shards never reach this fold; when an
+            // instruction does appear on both sides, the spent re-arm
+            // budget sums and this side's in-progress window survives (it
+            // may keep observing).
+            if let (Some(mine), Some(theirs)) = (mine.detect.as_mut(), theirs.detect.as_ref()) {
+                mine.absorb(theirs);
             }
-        }
+        });
         self.events.merge(&other.events);
         self.phase_stats.merge(&other.phase_stats);
     }
@@ -544,7 +527,7 @@ mod tests {
         let cfg = ConvergentConfig { max_skip: 100, ..small_config() };
         let mut p = ConvergentProfiler::new(TrackerConfig::default(), cfg);
         feed(&mut p, 0, std::iter::repeat_n(1, 50_000));
-        let s = &p.states[&0];
+        let s = p.states.get(0).unwrap();
         assert_eq!(s.skip, 100, "skip should cap at max_skip");
     }
 

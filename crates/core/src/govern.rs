@@ -34,9 +34,9 @@
 //! [`FullProfile`]: crate::track::FullProfile
 
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
 
 use crate::arena::Arena;
+use crate::pc_table::PcTable;
 use crate::track::{TrackerConfig, ValueTracker};
 
 /// A byte budget for one profiler's resident tracker state.
@@ -103,6 +103,54 @@ impl GovernorStats {
     }
 }
 
+/// The tracker map a [`Governor`] enforces its budget over: the
+/// instruction profiler's [`PcTable`] or the memory profiler's address
+/// map. The governed and ungoverned paths share the one map.
+pub trait TrackerMap {
+    /// Entity id: an instruction index or a location address.
+    type Id: Copy + Ord + Into<u64>;
+    /// The tracker of `id`, mutably, if resident.
+    fn tracker_mut(&mut self, id: Self::Id) -> Option<&mut ValueTracker>;
+    /// The tracker of `id`, created with `config` if absent.
+    fn tracker_or_new(&mut self, id: Self::Id, config: TrackerConfig) -> &mut ValueTracker;
+    /// Evicts `id`'s tracker.
+    fn remove_tracker(&mut self, id: Self::Id) -> Option<ValueTracker>;
+    /// Every resident `(id, tracker)`, in any order.
+    fn trackers(&self) -> impl Iterator<Item = (Self::Id, &ValueTracker)>;
+}
+
+impl TrackerMap for PcTable<ValueTracker> {
+    type Id = u32;
+    fn tracker_mut(&mut self, id: u32) -> Option<&mut ValueTracker> {
+        self.get_mut(id)
+    }
+    fn tracker_or_new(&mut self, id: u32, config: TrackerConfig) -> &mut ValueTracker {
+        self.get_or_insert_with(id, || ValueTracker::new(config))
+    }
+    fn remove_tracker(&mut self, id: u32) -> Option<ValueTracker> {
+        self.remove(id)
+    }
+    fn trackers(&self) -> impl Iterator<Item = (u32, &ValueTracker)> {
+        self.iter()
+    }
+}
+
+impl TrackerMap for HashMap<u64, ValueTracker> {
+    type Id = u64;
+    fn tracker_mut(&mut self, id: u64) -> Option<&mut ValueTracker> {
+        self.get_mut(&id)
+    }
+    fn tracker_or_new(&mut self, id: u64, config: TrackerConfig) -> &mut ValueTracker {
+        self.entry(id).or_insert_with(|| ValueTracker::new(config))
+    }
+    fn remove_tracker(&mut self, id: u64) -> Option<ValueTracker> {
+        self.remove(&id)
+    }
+    fn trackers(&self) -> impl Iterator<Item = (u64, &ValueTracker)> {
+        self.iter().map(|(&id, t)| (id, t))
+    }
+}
+
 /// Enforces a [`MemBudget`] over one profiler's tracker map. Embedded as
 /// `Option<Governor>` in the profilers; `None` (the default) leaves every
 /// pre-existing code path untouched.
@@ -158,21 +206,19 @@ impl Governor {
     /// dropped entities are counted and skipped; otherwise the tracker
     /// observes, the byte delta is charged, and the ladder runs until the
     /// budget holds again.
-    pub fn observe<K>(
+    pub fn observe<M: TrackerMap>(
         &mut self,
-        trackers: &mut HashMap<K, ValueTracker>,
+        trackers: &mut M,
         config: TrackerConfig,
-        id: K,
+        id: M::Id,
         value: u64,
-    ) where
-        K: Copy + Eq + Ord + Hash + Into<u64>,
-    {
+    ) {
         if self.dropped.contains(&id.into()) {
             self.stats.observations_dropped += 1;
             return;
         }
-        let before = trackers.get(&id).map_or(0, ValueTracker::footprint_bytes);
-        let tracker = trackers.entry(id).or_insert_with(|| ValueTracker::new(config));
+        let before = trackers.tracker_mut(id).map_or(0, |t| t.footprint_bytes());
+        let tracker = trackers.tracker_or_new(id, config);
         tracker.observe(value);
         let after = tracker.footprint_bytes();
         // Footprints are monotone under observe (tested in `track`), so
@@ -191,28 +237,23 @@ impl Governor {
     /// largest full-profile holder first (rung 1), evict the largest
     /// remaining entity once no full profiles are left (rung 2). Ties go
     /// to the smallest id, so victim selection is deterministic.
-    fn enforce<K>(&mut self, trackers: &mut HashMap<K, ValueTracker>)
-    where
-        K: Copy + Eq + Ord + Hash + Into<u64>,
-    {
-        while self.arena.live_bytes() > self.budget.limit_bytes && !trackers.is_empty() {
+    fn enforce<M: TrackerMap>(&mut self, trackers: &mut M) {
+        let largest =
+            |(id, t): &(M::Id, &ValueTracker)| (t.footprint_bytes(), std::cmp::Reverse(*id));
+        while self.arena.live_bytes() > self.budget.limit_bytes {
             let degradable = trackers
-                .iter()
+                .trackers()
                 .filter(|(_, t)| t.has_full())
-                .max_by_key(|(&id, t)| (t.footprint_bytes(), std::cmp::Reverse(id)))
-                .map(|(&id, _)| id);
+                .max_by_key(largest)
+                .map(|(id, _)| id);
             if let Some(id) = degradable {
-                let freed = trackers.get_mut(&id).expect("victim exists").degrade();
+                let freed = trackers.tracker_mut(id).expect("victim exists").degrade();
                 self.arena.release(freed);
                 self.stats.entities_degraded += 1;
                 continue;
             }
-            let victim = trackers
-                .iter()
-                .max_by_key(|(&id, t)| (t.footprint_bytes(), std::cmp::Reverse(id)))
-                .map(|(&id, _)| id)
-                .expect("non-empty map has a largest entity");
-            let tracker = trackers.remove(&victim).expect("victim exists");
+            let Some((victim, _)) = trackers.trackers().max_by_key(largest) else { break };
+            let tracker = trackers.remove_tracker(victim).expect("victim exists");
             self.arena.release(tracker.footprint_bytes());
             self.stats.entities_dropped += 1;
             self.dropped.insert(victim.into());
@@ -236,11 +277,7 @@ impl Governor {
 mod tests {
     use super::*;
 
-    fn feed(
-        governor: &mut Governor,
-        trackers: &mut HashMap<u32, ValueTracker>,
-        events: &[(u32, u64)],
-    ) {
+    fn feed(governor: &mut Governor, trackers: &mut PcTable<ValueTracker>, events: &[(u32, u64)]) {
         for &(id, value) in events {
             governor.observe(trackers, TrackerConfig::with_full(), id, value);
         }
@@ -259,20 +296,18 @@ mod tests {
     #[test]
     fn generous_budget_never_intervenes() {
         let mut governor = Governor::new(MemBudget::mib(64));
-        let mut governed: HashMap<u32, ValueTracker> = HashMap::new();
-        let mut reference: HashMap<u32, ValueTracker> = HashMap::new();
+        let mut governed: PcTable<ValueTracker> = PcTable::new();
+        let mut reference: PcTable<ValueTracker> = PcTable::new();
         for (id, value) in spread(8, 500) {
             governor.observe(&mut governed, TrackerConfig::with_full(), id, value);
-            reference
-                .entry(id)
-                .or_insert_with(|| ValueTracker::new(TrackerConfig::with_full()))
-                .observe(value);
+            reference.tracker_or_new(id, TrackerConfig::with_full()).observe(value);
         }
         assert!(!governor.stats().intervened());
         assert_eq!(governed.len(), reference.len());
-        for (id, tracker) in &reference {
-            assert_eq!(governed[id].full(), tracker.full(), "entity {id}");
-            assert_eq!(governed[id].inv_top(1), tracker.inv_top(1), "entity {id}");
+        for (id, tracker) in reference.iter() {
+            let governed = governed.get(id).unwrap();
+            assert_eq!(governed.full(), tracker.full(), "entity {id}");
+            assert_eq!(governed.inv_top(1), tracker.inv_top(1), "entity {id}");
         }
         let total: usize = governed.values().map(ValueTracker::footprint_bytes).sum();
         assert_eq!(governor.bytes_current(), total, "accounting matches reality");
@@ -283,7 +318,7 @@ mod tests {
     fn tight_budget_degrades_before_dropping_and_peak_holds() {
         let budget = MemBudget::bytes(16 * 1024);
         let mut governor = Governor::new(budget);
-        let mut trackers: HashMap<u32, ValueTracker> = HashMap::new();
+        let mut trackers: PcTable<ValueTracker> = PcTable::new();
         feed(&mut governor, &mut trackers, &spread(6, 2000));
         let stats = *governor.stats();
         assert!(stats.intervened());
@@ -298,17 +333,14 @@ mod tests {
     fn degraded_entities_keep_exact_scalar_metrics() {
         let events = spread(6, 2000);
         let mut governor = Governor::new(MemBudget::bytes(16 * 1024));
-        let mut governed: HashMap<u32, ValueTracker> = HashMap::new();
+        let mut governed: PcTable<ValueTracker> = PcTable::new();
         feed(&mut governor, &mut governed, &events);
-        let mut reference: HashMap<u32, ValueTracker> = HashMap::new();
+        let mut reference: PcTable<ValueTracker> = PcTable::new();
         for &(id, value) in &events {
-            reference
-                .entry(id)
-                .or_insert_with(|| ValueTracker::new(TrackerConfig::with_full()))
-                .observe(value);
+            reference.tracker_or_new(id, TrackerConfig::with_full()).observe(value);
         }
-        for (id, tracker) in &governed {
-            let truth = &reference[id];
+        for (id, tracker) in governed.iter() {
+            let truth = reference.get(id).unwrap();
             assert_eq!(tracker.executions(), truth.executions(), "entity {id}");
             assert_eq!(tracker.lvp(), truth.lvp(), "entity {id}");
             assert_eq!(tracker.inv_top(3), truth.inv_top(3), "entity {id}");
@@ -321,7 +353,7 @@ mod tests {
         // Smaller than a single tracker: every entity is eventually
         // created, degraded, and evicted; later observations are shed.
         let mut governor = Governor::new(MemBudget::bytes(64));
-        let mut trackers: HashMap<u32, ValueTracker> = HashMap::new();
+        let mut trackers: PcTable<ValueTracker> = PcTable::new();
         feed(&mut governor, &mut trackers, &spread(3, 50));
         let stats = *governor.stats();
         assert!(trackers.is_empty());
@@ -336,16 +368,11 @@ mod tests {
         let events = spread(5, 800);
         let run = || {
             let mut governor = Governor::new(MemBudget::bytes(8 * 1024));
-            let mut trackers: HashMap<u32, ValueTracker> = HashMap::new();
+            let mut trackers: PcTable<ValueTracker> = PcTable::new();
             feed(&mut governor, &mut trackers, &events);
-            let mut surviving: Vec<u32> = trackers.keys().copied().collect();
-            surviving.sort_unstable();
-            let degraded: Vec<u32> = {
-                let mut d: Vec<u32> =
-                    trackers.iter().filter(|(_, t)| !t.has_full()).map(|(&id, _)| id).collect();
-                d.sort_unstable();
-                d
-            };
+            let surviving: Vec<u32> = trackers.iter().map(|(id, _)| id).collect();
+            let degraded: Vec<u32> =
+                trackers.iter().filter(|(_, t)| !t.has_full()).map(|(id, _)| id).collect();
             (*governor.stats(), surviving, degraded)
         };
         assert_eq!(run(), run());
@@ -381,7 +408,7 @@ mod tests {
         // the arena's live total is the exact summed tracker footprint.
         for budget in [MemBudget::mib(64), MemBudget::bytes(16 * 1024), MemBudget::bytes(64)] {
             let mut governor = Governor::new(budget);
-            let mut trackers: HashMap<u32, ValueTracker> = HashMap::new();
+            let mut trackers: PcTable<ValueTracker> = PcTable::new();
             feed(&mut governor, &mut trackers, &spread(6, 1200));
             let total: usize = trackers.values().map(ValueTracker::footprint_bytes).sum();
             assert_eq!(governor.arena().live_bytes(), total, "live is exact");

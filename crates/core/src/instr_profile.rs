@@ -7,14 +7,13 @@
 //! [`Selection::RegisterDefining`](vp_instrument::Selection) for the
 //! all-instructions profile (E3).
 
-use std::collections::HashMap;
-
 use vp_instrument::Analysis;
 use vp_sim::{InstrEvent, Machine};
 
 use crate::arena::Arena;
 use crate::govern::{Governor, GovernorStats, MemBudget};
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
+use crate::pc_table::PcTable;
 use crate::track::{TrackerConfig, ValueTracker};
 
 /// Profiles destination-register values of instrumented instructions.
@@ -52,7 +51,7 @@ use crate::track::{TrackerConfig, ValueTracker};
 #[derive(Debug, Clone)]
 pub struct InstructionProfiler {
     config: TrackerConfig,
-    trackers: HashMap<u32, ValueTracker>,
+    trackers: PcTable<ValueTracker>,
     governor: Option<Governor>,
 }
 
@@ -60,7 +59,7 @@ impl InstructionProfiler {
     /// Creates a profiler; each instruction gets a tracker configured by
     /// `config` the first time it executes.
     pub fn new(config: TrackerConfig) -> InstructionProfiler {
-        InstructionProfiler { config, trackers: HashMap::new(), governor: None }
+        InstructionProfiler { config, trackers: PcTable::new(), governor: None }
     }
 
     /// Creates a profiler whose resident tracker state is governed by
@@ -72,7 +71,7 @@ impl InstructionProfiler {
     pub fn with_budget(config: TrackerConfig, budget: MemBudget) -> InstructionProfiler {
         InstructionProfiler {
             config,
-            trackers: HashMap::new(),
+            trackers: PcTable::new(),
             governor: Some(Governor::new(budget)),
         }
     }
@@ -90,25 +89,22 @@ impl InstructionProfiler {
 
     /// The tracker of one instruction, if it ever executed.
     pub fn tracker(&self, index: u32) -> Option<&ValueTracker> {
-        self.trackers.get(&index)
+        self.trackers.get(index)
     }
 
     /// Metric snapshot of one instruction.
     pub fn metrics_for(&self, index: u32) -> Option<EntityMetrics> {
         self.trackers
-            .get(&index)
+            .get(index)
             .map(|t| EntityMetrics::from_tracker(u64::from(index), t, self.config.capacity))
     }
 
     /// Metric snapshots of every profiled instruction, ordered by index.
     pub fn metrics(&self) -> Vec<EntityMetrics> {
-        let mut out: Vec<EntityMetrics> = self
-            .trackers
+        self.trackers
             .iter()
-            .map(|(&i, t)| EntityMetrics::from_tracker(u64::from(i), t, self.config.capacity))
-            .collect();
-        out.sort_by_key(|m| m.id);
-        out
+            .map(|(i, t)| EntityMetrics::from_tracker(u64::from(i), t, self.config.capacity))
+            .collect()
     }
 
     /// Execution-weighted aggregate over all profiled instructions.
@@ -124,43 +120,14 @@ impl InstructionProfiler {
             governor.observe(&mut self.trackers, config, index, value);
             return;
         }
-        self.trackers.entry(index).or_insert_with(|| ValueTracker::new(config)).observe(value);
+        self.trackers.get_or_insert_with(index, || ValueTracker::new(config)).observe(value);
     }
 
-    /// Feeds a batch of `(instruction, value)` events — semantically
-    /// identical to calling [`observe`](InstructionProfiler::observe) once
-    /// per event, but consecutive events of the same instruction (the
-    /// common shape of a loop's hot load) resolve one hash-map lookup for
-    /// the whole run and take the tracker's batched fast path.
-    ///
-    /// Under a governor the batch degenerates to the per-event path, so
-    /// budget enforcement happens at exactly the same points as a scalar
-    /// feed — governed batch and scalar ingestion stay bit-identical.
+    /// Feeds a batch of `(instruction, value)` events in stream order,
+    /// one [`observe`](InstructionProfiler::observe) per event.
     pub fn observe_batch(&mut self, events: &[(u32, u64)]) {
-        if self.governor.is_some() {
-            for &(index, value) in events {
-                self.observe(index, value);
-            }
-            return;
-        }
-        let config = self.config;
-        let mut values: Vec<u64> = Vec::new();
-        let mut i = 0;
-        while i < events.len() {
-            let index = events[i].0;
-            let mut j = i + 1;
-            while j < events.len() && events[j].0 == index {
-                j += 1;
-            }
-            let tracker = self.trackers.entry(index).or_insert_with(|| ValueTracker::new(config));
-            if j == i + 1 {
-                tracker.observe(events[i].1);
-            } else {
-                values.clear();
-                values.extend(events[i..j].iter().map(|&(_, value)| value));
-                tracker.observe_batch(&values);
-            }
-            i = j;
+        for &(index, value) in events {
+            self.observe(index, value);
         }
     }
 
@@ -187,14 +154,7 @@ impl InstructionProfiler {
             "cannot merge governed and ungoverned instruction profilers"
         );
         let InstructionProfiler { trackers: other_trackers, governor: other_governor, .. } = other;
-        for (index, theirs) in other_trackers {
-            match self.trackers.entry(index) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(theirs);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(&theirs),
-            }
-        }
+        self.trackers.merge_with(other_trackers, |mine, theirs| mine.merge(&theirs));
         if let (Some(governor), Some(theirs)) = (&mut self.governor, &other_governor) {
             // Merged shard results may exceed a per-shard budget; the
             // governor resumes enforcing only if ingest continues.

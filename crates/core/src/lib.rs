@@ -17,6 +17,9 @@
 //! * [`InstructionProfiler`] / [`MemoryProfiler`] /
 //!   [`params::ParamProfiler`] — the three profiled entity kinds, all
 //!   pluggable [`vp_instrument::Analysis`] tools;
+//! * [`PcTable`] — the per-pc state container of every instruction-keyed
+//!   profiler: a dense slot index for small pcs, an ordered sparse map
+//!   above a fixed cap, iterated in pc order;
 //! * [`convergent::ConvergentProfiler`] — the paper's low-overhead
 //!   sampling profiler that backs off once an instruction's invariance has
 //!   converged, plus the CPI-style [`sampled::SampledProfiler`] baselines;
@@ -67,6 +70,7 @@ pub mod instr_profile;
 pub mod memory;
 pub mod metrics;
 pub mod params;
+pub mod pc_table;
 pub mod phase;
 pub mod profile_io;
 pub mod report;
@@ -83,13 +87,14 @@ pub use durable::{
     CheckedProfile, Integrity, IntegrityMode, LoadProfileError,
 };
 pub use fault::{FaultAction, FaultPlan};
-pub use govern::{Governor, GovernorStats, MemBudget};
+pub use govern::{Governor, GovernorStats, MemBudget, TrackerMap};
 pub use instr_profile::InstructionProfiler;
 pub use memory::MemoryProfiler;
 pub use metrics::{
     aggregate, correlation, invariance_histogram, merge_entity_metrics, Aggregate, EntityMetrics,
 };
 pub use params::{ParamMetrics, ParamProfiler, ParamSlot};
+pub use pc_table::PcTable;
 pub use phase::{AdaptiveProfiler, PhaseBudget, PhaseStats, WindowSig};
 pub use profile_io::{parse_profile, render_profile, ParseProfileError};
 pub use report::{compare, group_by_class, render_metric_table, ProfileComparison, ReportRow};

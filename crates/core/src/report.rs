@@ -80,24 +80,32 @@ pub fn render_metric_table(title: &str, rows: &[ReportRow]) -> String {
 
 /// Unweighted mean of row aggregates (the paper's cross-benchmark mean
 /// row: each program counts equally regardless of run length).
+///
+/// Only rows with executions count: a program that never executed a
+/// profiled entity has no invariance to average, so it neither drags the
+/// ratios toward 0% nor, lacking `Inv-All`/`Diff`, blanks those columns.
+/// An optional column is present when every executing row has it.
 pub fn mean_of(rows: &[ReportRow]) -> Aggregate {
-    if rows.is_empty() {
+    let live: Vec<&Aggregate> =
+        rows.iter().map(|r| &r.aggregate).filter(|a| a.executions > 0).collect();
+    if live.is_empty() {
         return Aggregate::default();
     }
-    let n = rows.len() as f64;
+    let n = live.len() as f64;
+    let mean = |f: &dyn Fn(&Aggregate) -> f64| live.iter().map(|a| f(a)).sum::<f64>() / n;
     let mean_opt = |f: &dyn Fn(&Aggregate) -> Option<f64>| -> Option<f64> {
-        let vals: Vec<f64> = rows.iter().filter_map(|r| f(&r.aggregate)).collect();
-        (vals.len() == rows.len()).then(|| vals.iter().sum::<f64>() / n)
+        let vals: Option<Vec<f64>> = live.iter().map(|a| f(a)).collect();
+        vals.map(|v| v.iter().sum::<f64>() / n)
     };
     Aggregate {
-        entities: rows.iter().map(|r| r.aggregate.entities).sum(),
-        executions: rows.iter().map(|r| r.aggregate.executions).sum(),
-        lvp: rows.iter().map(|r| r.aggregate.lvp).sum::<f64>() / n,
-        inv_top1: rows.iter().map(|r| r.aggregate.inv_top1).sum::<f64>() / n,
-        inv_topn: rows.iter().map(|r| r.aggregate.inv_topn).sum::<f64>() / n,
+        entities: live.iter().map(|a| a.entities).sum(),
+        executions: live.iter().map(|a| a.executions).sum(),
+        lvp: mean(&|a| a.lvp),
+        inv_top1: mean(&|a| a.inv_top1),
+        inv_topn: mean(&|a| a.inv_topn),
         inv_all1: mean_opt(&|a| a.inv_all1),
         inv_alln: mean_opt(&|a| a.inv_alln),
-        pct_zero: rows.iter().map(|r| r.aggregate.pct_zero).sum::<f64>() / n,
+        pct_zero: mean(&|a| a.pct_zero),
         diff_ratio: mean_opt(&|a| a.diff_ratio),
     }
 }
@@ -233,6 +241,25 @@ mod tests {
         assert!((mean.inv_top1 - 0.5).abs() < 1e-12);
         assert_eq!(mean.executions, 1010);
         assert_eq!(mean_of(&[]), Aggregate::default());
+    }
+
+    #[test]
+    fn mean_skips_rows_without_executions() {
+        // A program that stores nothing has an all-default row: no
+        // executions, no Inv-All, no Diff. It must not count as 0%.
+        let rows = vec![
+            row("a", &[entity(0, 100, 0.8)]),
+            row("idle", &[]),
+            row("b", &[entity(0, 10, 0.4)]),
+        ];
+        let mean = mean_of(&rows);
+        assert!((mean.inv_top1 - 0.6).abs() < 1e-12);
+        assert!((mean.lvp - 0.6).abs() < 1e-12);
+        assert!((mean.inv_all1.unwrap() - 0.6).abs() < 1e-12);
+        assert!((mean.inv_alln.unwrap() - 0.6).abs() < 1e-12);
+        assert!(mean.diff_ratio.is_some());
+        assert_eq!(mean.executions, 110);
+        assert_eq!(mean_of(&[row("idle", &[])]), Aggregate::default());
     }
 
     #[test]

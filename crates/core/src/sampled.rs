@@ -10,13 +10,12 @@
 //! ([`SampleStrategy::Random`]) — spending the *same* profiling budget on
 //! every instruction regardless of whether its profile has converged.
 
-use std::collections::HashMap;
-
 use vp_instrument::Analysis;
 use vp_obs::{SampleEvents, TnvEvents};
 use vp_sim::{InstrEvent, Machine};
 
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
+use crate::pc_table::PcTable;
 use crate::track::{TrackerConfig, ValueTracker};
 
 /// How executions are picked for profiling.
@@ -61,7 +60,7 @@ struct SampleState {
 pub struct SampledProfiler {
     tracker_config: TrackerConfig,
     strategy: SampleStrategy,
-    states: HashMap<u32, SampleState>,
+    states: PcTable<SampleState>,
     rng: u64,
     events: SampleEvents,
 }
@@ -80,7 +79,7 @@ impl SampledProfiler {
         SampledProfiler {
             tracker_config,
             strategy,
-            states: HashMap::new(),
+            states: PcTable::new(),
             rng: 0x9e37_79b9_7f4a_7c15,
             events: SampleEvents::default(),
         }
@@ -110,10 +109,9 @@ impl SampledProfiler {
     /// execution counts reweighted to the true totals (comparable to a
     /// full profile's aggregate).
     pub fn metrics(&self) -> Vec<EntityMetrics> {
-        let mut out: Vec<EntityMetrics> = self
-            .states
+        self.states
             .iter()
-            .map(|(&i, s)| {
+            .map(|(i, s)| {
                 let mut m = EntityMetrics::from_tracker(
                     u64::from(i),
                     &s.tracker,
@@ -122,9 +120,7 @@ impl SampledProfiler {
                 m.executions = s.total;
                 m
             })
-            .collect();
-        out.sort_by_key(|m| m.id);
-        out
+            .collect()
     }
 
     /// Execution-weighted aggregate (weights are true execution counts).
@@ -161,7 +157,7 @@ impl SampledProfiler {
             SampleStrategy::Random { period } => self.next_random().is_multiple_of(period),
             SampleStrategy::Periodic { .. } => false,
         };
-        let state = self.states.entry(index).or_insert_with(|| SampleState {
+        let state = self.states.get_or_insert_with(index, || SampleState {
             tracker: ValueTracker::new(config),
             countdown: 0,
             profiled: 0,
@@ -215,19 +211,11 @@ impl SampledProfiler {
             self.strategy, other.strategy,
             "cannot merge sampled profilers with different strategies"
         );
-        for (index, theirs) in other.states {
-            match self.states.entry(index) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(theirs);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let mine = e.get_mut();
-                    mine.tracker.merge(&theirs.tracker);
-                    mine.profiled += theirs.profiled;
-                    mine.total += theirs.total;
-                }
-            }
-        }
+        self.states.merge_with(other.states, |mine, theirs| {
+            mine.tracker.merge(&theirs.tracker);
+            mine.profiled += theirs.profiled;
+            mine.total += theirs.total;
+        });
         self.events.merge(&other.events);
     }
 

@@ -7,11 +7,10 @@
 //! stream into fixed-length windows and keeps per-window metrics, the data
 //! behind phase plots and behind choosing the TNV clear interval.
 
-use std::collections::HashMap;
-
 use vp_instrument::Analysis;
 use vp_sim::{InstrEvent, Machine};
 
+use crate::pc_table::PcTable;
 use crate::phase::{self, WindowSig};
 use crate::track::{TrackerConfig, ValueTracker};
 
@@ -45,7 +44,7 @@ struct TemporalState {
 pub struct TemporalProfiler {
     config: TrackerConfig,
     window: u64,
-    states: HashMap<u32, TemporalState>,
+    states: PcTable<TemporalState>,
 }
 
 impl TemporalProfiler {
@@ -56,7 +55,7 @@ impl TemporalProfiler {
     /// Panics if `window` is 0.
     pub fn new(config: TrackerConfig, window: u64) -> TemporalProfiler {
         assert!(window > 0, "window length must be positive");
-        TemporalProfiler { config, window, states: HashMap::new() }
+        TemporalProfiler { config, window, states: PcTable::new() }
     }
 
     /// The configured window length.
@@ -75,7 +74,7 @@ impl TemporalProfiler {
     /// Completed (and the trailing partial) windows of one instruction, in
     /// execution order. Empty if the instruction never executed.
     pub fn windows(&self, index: u32) -> Vec<WindowMetrics> {
-        let Some(state) = self.states.get(&index) else { return Vec::new() };
+        let Some(state) = self.states.get(index) else { return Vec::new() };
         let mut out = state.windows.clone();
         if state.current.executions() > 0 {
             out.push(Self::snapshot(&state.current));
@@ -85,9 +84,7 @@ impl TemporalProfiler {
 
     /// Instructions profiled, ordered by index.
     pub fn instructions(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.states.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.states.iter().map(|(index, _)| index).collect()
     }
 
     /// The number of *phases* of an instruction: maximal runs of adjacent
@@ -157,7 +154,7 @@ impl Analysis for TemporalProfiler {
         let Some((_, value)) = event.dest else { return };
         let config = self.config;
         let window = self.window;
-        let state = self.states.entry(event.index).or_insert_with(|| TemporalState {
+        let state = self.states.get_or_insert_with(event.index, || TemporalState {
             current: ValueTracker::new(config),
             windows: Vec::new(),
         });

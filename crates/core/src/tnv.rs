@@ -187,41 +187,6 @@ impl TnvTable {
         }
     }
 
-    /// Records a batch of occurrences. Semantically identical to calling
-    /// [`observe`](TnvTable::observe) once per value (the differential
-    /// oracle asserts this), but the dominant case of an invariant stream
-    /// — another occurrence of the current top value with no clear due —
-    /// is inlined, so batched replay skips the position scan and policy
-    /// dispatch that `observe` pays per event.
-    pub fn observe_batch(&mut self, values: &[u64]) {
-        // Hoist the policy so the fast-path guard is one compare. A
-        // top-slot hit needs no re-ordering (the top count only grows)
-        // and no replacement, so the only side effect left to rule out
-        // is the periodic clear.
-        let (clearing, clear_interval) = match self.policy {
-            Policy::LfuClear { clear_interval, .. } => (true, clear_interval),
-            Policy::Lfu | Policy::Lru => (false, u64::MAX),
-        };
-        for &value in values {
-            match self.entries.first_mut() {
-                Some(top)
-                    if top.value == value
-                        && (!clearing || self.since_clear + 1 < clear_interval) =>
-                {
-                    self.observations += 1;
-                    self.clock += 1;
-                    self.events.hits += 1;
-                    top.count += 1;
-                    top.last_seen = self.clock;
-                    if clearing {
-                        self.since_clear += 1;
-                    }
-                }
-                _ => self.observe(value),
-            }
-        }
-    }
-
     /// Merges another table (e.g. collected over a different shard of the
     /// same entity's value stream) into this one: resident `(value, count)`
     /// pairs are combined, re-ranked by count, and the top `capacity`

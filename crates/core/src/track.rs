@@ -2,6 +2,9 @@
 //! the paper's metrics (LVP, % zero, execution count, last value), and the
 //! exact [`FullProfile`] used as ground truth.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::arena::ValueMap;
 use crate::tnv::{Policy, TnvTable};
 
@@ -61,11 +64,30 @@ impl FullProfile {
     }
 
     /// Exact invariance over the top `n` values (`Inv-All(n)`).
+    ///
+    /// Sums the `n` largest counts in one pass over the histogram, keeping
+    /// them in a size-`n` min-heap, with no sort. The sum of the `n`
+    /// largest counts does not depend on how ties are ordered, so this
+    /// equals the sum over [`top(n)`](FullProfile::top) exactly.
     pub fn inv_all(&self, n: usize) -> f64 {
         if self.observations == 0 {
             return 0.0;
         }
-        let covered: u64 = self.top(n).iter().map(|&(_, c)| c).sum();
+        let covered = if n >= self.counts.len() {
+            self.observations
+        } else {
+            let mut heap: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(n);
+            for (_, count) in self.counts.iter() {
+                if heap.len() < n {
+                    heap.push(Reverse(count));
+                } else if let Some(mut least) = heap.peek_mut() {
+                    if count > least.0 {
+                        *least = Reverse(count);
+                    }
+                }
+            }
+            heap.into_iter().map(|Reverse(c)| c).sum()
+        };
         covered as f64 / self.observations as f64
     }
 
@@ -172,38 +194,6 @@ impl ValueTracker {
         self.tnv.observe(value);
         if let Some(full) = &mut self.full {
             full.observe(value);
-        }
-    }
-
-    /// Records a batch of produced values — semantically identical to
-    /// calling [`observe`](ValueTracker::observe) once per value, but the
-    /// scalar counters update in one pass over the slice and the TNV
-    /// table takes its batched fast path.
-    pub fn observe_batch(&mut self, values: &[u64]) {
-        let (&first, &last) = match (values.first(), values.last()) {
-            (Some(first), Some(last)) => (first, last),
-            _ => return,
-        };
-        self.executions += values.len() as u64;
-        let mut prev = self.last;
-        for &value in values {
-            if value == 0 {
-                self.zeros += 1;
-            }
-            if prev == Some(value) {
-                self.lvp_hits += 1;
-            }
-            prev = Some(value);
-        }
-        if self.first.is_none() {
-            self.first = Some(first);
-        }
-        self.last = Some(last);
-        self.tnv.observe_batch(values);
-        if let Some(full) = &mut self.full {
-            for &value in values {
-                full.observe(value);
-            }
         }
     }
 

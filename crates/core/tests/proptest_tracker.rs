@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use vp_core::tnv::{Policy, TnvTable};
-use vp_core::track::{TrackerConfig, ValueTracker};
+use vp_core::track::{FullProfile, TrackerConfig, ValueTracker};
 
 /// Streams drawn from a small alphabet (so collisions and invariance
 /// actually occur) mixed with occasional arbitrary values.
@@ -24,6 +24,26 @@ fn arb_policy() -> impl Strategy<Value = Policy> {
 }
 
 proptest! {
+    /// The one-pass `inv_all(n)` equals the sum over the sort-based
+    /// `top(n)` bit for bit, for every width: `n = 0`, ties (the small
+    /// alphabet makes equal counts common) and `n` beyond the distinct
+    /// count.
+    #[test]
+    fn one_pass_inv_all_equals_sorted_top_sum(
+        stream in prop::collection::vec(prop_oneof![6 => 0u64..6, 1 => any::<u64>()], 0..300),
+    ) {
+        let mut full = FullProfile::new();
+        for &v in &stream {
+            full.observe(v);
+        }
+        let distinct = full.distinct() as usize;
+        for n in (0..=distinct + 2).chain([usize::MAX]) {
+            let covered: u64 = full.top(n).iter().map(|&(_, c)| c).sum();
+            let sorted = if stream.is_empty() { 0.0 } else { covered as f64 / stream.len() as f64 };
+            prop_assert_eq!(full.inv_all(n).to_bits(), sorted.to_bits(), "n={}", n);
+        }
+    }
+
     /// Exact metrics match a naive reference implementation.
     #[test]
     fn tracker_matches_reference(stream in arb_stream()) {

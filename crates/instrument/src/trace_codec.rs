@@ -56,8 +56,8 @@ use vp_obs::{crc32, Crc32};
 pub const MAGIC: &[u8; 4] = b"VPC1";
 
 /// Default events per chunk — large enough to amortize per-chunk header
-/// cost and hash-map dispatch during batched replay, small enough that a
-/// buffered reader stays cache-friendly.
+/// and CRC cost during replay, small enough that a buffered reader stays
+/// cache-friendly.
 pub const DEFAULT_CHUNK_EVENTS: usize = 8192;
 
 /// Why a trace failed to decode.

@@ -16,17 +16,12 @@
 //!   shard boundaries — while the TNV-derived estimates only carry an
 //!   ε-bound, because each shard's table evicts independently.
 //!
-//! Separately, `observe_batch` must equal an `observe` loop *exactly* on
-//! every layer it short-circuits: the TNV table (all three replacement
-//! policies, including streams that straddle clear boundaries), the value
-//! tracker, and the instruction profiler.
+//! Separately, the instruction profiler's `observe_batch` must equal an
+//! `observe` loop *exactly*, chunked at every size.
 
 use value_profiling::core::{
-    profile_sharded, split_by_time,
-    tnv::{Policy, TnvTable},
-    track::TrackerConfig,
-    AdaptiveProfiler, ConvergentConfig, ConvergentProfiler, InstructionProfiler, PhaseBudget,
-    SampleStrategy, SampledProfiler, ValueTracker,
+    profile_sharded, split_by_time, track::TrackerConfig, AdaptiveProfiler, ConvergentConfig,
+    ConvergentProfiler, InstructionProfiler, PhaseBudget, SampleStrategy, SampledProfiler,
 };
 use value_profiling::instrument::Selection;
 use value_profiling::workloads::{suite, DataSet};
@@ -207,80 +202,6 @@ fn time_sharded_scalar_metrics_exact_and_tnv_bounded() {
                 // TNV-derived estimates carry the documented ε-bound.
                 assert!((s.inv_top1 - x.inv_top1).abs() <= TNV_EPSILON, "{at}");
                 assert!((s.inv_topn - x.inv_topn).abs() <= TNV_EPSILON, "{at}");
-            }
-        }
-    }
-}
-
-/// Value streams that exercise the TNV fast path and every way out of it:
-/// top-slot runs, churn, collisions, and clear-boundary straddles.
-fn value_streams() -> Vec<(String, Vec<u64>)> {
-    let mut out = vec![
-        ("empty".to_string(), Vec::new()),
-        ("constant".to_string(), vec![7; 5000]),
-        ("alternating".to_string(), (0..5000).map(|i| u64::from(i % 2 == 0)).collect()),
-        ("counter".to_string(), (0..5000).collect()),
-        ("runs".to_string(), (0..5000).map(|i| i / 97).collect()),
-        ("skewed".to_string(), (0..5000u64).map(|i| if i % 5 == 4 { i % 23 } else { 9 }).collect()),
-    ];
-    for (_, events) in streams() {
-        if let Some(&(pc, _)) = events.first() {
-            let values =
-                events.iter().filter(|&&(p, _)| p == pc).map(|&(_, v)| v).collect::<Vec<u64>>();
-            out.push((format!("trace-pc{pc}"), values));
-        }
-    }
-    out
-}
-
-#[test]
-fn tnv_observe_batch_equals_observe_loop_exactly() {
-    // `clear_interval: 5` forces many clear boundaries inside a single
-    // batch; the fast path must take none of the boundary observations.
-    let policies = [
-        Policy::default(),
-        Policy::LfuClear { steady: 2, clear_interval: 5 },
-        Policy::Lfu,
-        Policy::Lru,
-    ];
-    for policy in policies {
-        for (name, values) in value_streams() {
-            let mut scalar = TnvTable::new(8, policy);
-            for &v in &values {
-                scalar.observe(v);
-            }
-            for batch in [1usize, 3, 64, values.len().max(1)] {
-                let mut batched = TnvTable::new(8, policy);
-                for chunk in values.chunks(batch) {
-                    batched.observe_batch(chunk);
-                }
-                assert_eq!(batched, scalar, "{name} policy={policy:?} batch={batch}");
-            }
-        }
-    }
-}
-
-#[test]
-fn tracker_observe_batch_equals_observe_loop_exactly() {
-    for config in [TrackerConfig::default(), TrackerConfig::with_full()] {
-        for (name, values) in value_streams() {
-            let mut scalar = ValueTracker::new(config);
-            for &v in &values {
-                scalar.observe(v);
-            }
-            for batch in [1usize, 7, 1024] {
-                let mut batched = ValueTracker::new(config);
-                for chunk in values.chunks(batch) {
-                    batched.observe_batch(chunk);
-                }
-                let at = format!("{name} batch={batch}");
-                assert_eq!(batched.executions(), scalar.executions(), "{at}");
-                assert_eq!(batched.lvp(), scalar.lvp(), "{at}");
-                assert_eq!(batched.pct_zero(), scalar.pct_zero(), "{at}");
-                assert_eq!(batched.last_value(), scalar.last_value(), "{at}");
-                assert_eq!(batched.tnv(), scalar.tnv(), "{at}");
-                assert_eq!(batched.inv_all(1), scalar.inv_all(1), "{at}");
-                assert_eq!(batched.distinct(), scalar.distinct(), "{at}");
             }
         }
     }

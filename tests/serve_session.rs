@@ -306,3 +306,54 @@ fn injected_session_failure_never_perturbs_other_tenants() {
     assert_eq!(read(&dir, "good-before.tsv"), read(&dir, "replay.tsv"));
     assert_eq!(read(&dir, "good-after.tsv"), read(&dir, "replay.tsv"));
 }
+
+#[test]
+fn hostile_pcs_profile_exactly_through_replay_and_serve() {
+    use std::collections::HashMap;
+    use value_profiling::core::{load_profile, IntegrityMode};
+    use value_profiling::instrument::trace_codec;
+
+    // pcs at the bottom of the dense index, at its last slot, in the
+    // sparse fallback and at the very top of the pc space.
+    const PCS: [u32; 4] = [0, 65_535, 1 << 20, u32::MAX];
+    let events: Vec<(u32, u64)> = (0..6000u64)
+        .map(|i| {
+            let pc = PCS[(i * 7 % 11 % 4) as usize];
+            let value = if i % 3 == 0 { i % 17 } else { u64::from(pc) ^ 5 };
+            (pc, value)
+        })
+        .collect();
+    let dir = fresh_dir("hostile-pcs");
+    std::fs::write(dir.join("hostile.vpc"), trace_codec::encode(&events, 500)).unwrap();
+
+    let replay = run_in(&dir, &["replay", "hostile.vpc", "--save", "replay.tsv"], &[]);
+    assert!(replay.ok, "replay failed: {}", replay.stderr);
+    let daemon = spawn_serve(&dir, &["--socket", "serve.sock", "--state-dir", "state"], &[]);
+    let client = run_in(
+        &dir,
+        &["client", "hostile.vpc", "--connect", "serve.sock", "--tenant", "x", "--save", "c.tsv"],
+        &[],
+    );
+    assert!(client.ok, "client failed: {}", client.stderr);
+    let (summary, ok) = shutdown_and_reap(&dir, daemon);
+    assert!(ok, "daemon exit nonzero: {summary}");
+    assert_eq!(read(&dir, "c.tsv"), read(&dir, "replay.tsv"), "stream vs replay TSV differ");
+
+    // The naive per-pc counter.
+    let mut naive: HashMap<u32, HashMap<u64, u64>> = HashMap::new();
+    for &(pc, value) in &events {
+        *naive.entry(pc).or_default().entry(value).or_default() += 1;
+    }
+    let profile = load_profile(&dir.join("replay.tsv"), IntegrityMode::Strict).unwrap().metrics;
+    let ids: Vec<u64> = profile.iter().map(|m| m.id).collect();
+    assert_eq!(ids, PCS.map(u64::from), "one row per pc, in pc order");
+    for m in &profile {
+        let counts = &naive[&(m.id as u32)];
+        let executions: u64 = counts.values().sum();
+        let top = *counts.values().max().unwrap();
+        assert_eq!(m.executions, executions, "pc {}", m.id);
+        assert_eq!(m.distinct, Some(counts.len() as u64), "pc {}", m.id);
+        let inv_all1 = m.inv_all1.unwrap();
+        assert!((inv_all1 - top as f64 / executions as f64).abs() < 1e-6, "pc {}", m.id);
+    }
+}
